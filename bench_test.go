@@ -297,7 +297,7 @@ func BenchmarkRuleMatch(b *testing.B) {
 // against BenchmarkMatchIndicesNaive for the engine's speedup.
 func BenchmarkMatchIndicesIndexed(b *testing.B) {
 	ds := benchTrainDataset(b, 10000, 24)
-	ev := core.NewEvaluator(ds, 0.2, 0, 1e-8, 1)
+	ev := core.NewEvaluator(ds, 0.2, 0, 1e-8, 1, core.EvalOptions{})
 	pop := core.InitStratified(ds, 32)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -309,7 +309,7 @@ func BenchmarkMatchIndicesIndexed(b *testing.B) {
 // same rules and dataset.
 func BenchmarkMatchIndicesNaive(b *testing.B) {
 	ds := benchTrainDataset(b, 10000, 24)
-	ev := core.NewEvaluator(ds, 0.2, 0, 1e-8, 1)
+	ev := core.NewEvaluator(ds, 0.2, 0, 1e-8, 1, core.EvalOptions{})
 	pop := core.InitStratified(ds, 32)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -322,14 +322,14 @@ func BenchmarkMatchIndicesNaive(b *testing.B) {
 // case the cache exists for.
 func BenchmarkEvaluateRuleCached(b *testing.B) {
 	ds := benchTrainDataset(b, 10000, 24)
-	ev := core.NewEvaluator(ds, 0.2, 0, 1e-8, 1)
+	ev := core.NewEvaluator(ds, 0.2, 0, 1e-8, 1, core.EvalOptions{})
 	pop := core.InitStratified(ds, 10)
 	for _, r := range pop {
-		ev.Evaluate(r)
+		ev.Evaluate(context.Background(), r)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ev.Evaluate(pop[i%len(pop)])
+		ev.Evaluate(context.Background(), pop[i%len(pop)])
 	}
 }
 
@@ -359,11 +359,11 @@ func uncachedRules(pop []*core.Rule, n int) []*core.Rule {
 // work being measured.
 func BenchmarkEvaluateRule(b *testing.B) {
 	ds := benchTrainDataset(b, 10000, 24)
-	ev := core.NewEvaluator(ds, 0.2, 0, 1e-8, 1)
+	ev := core.NewEvaluator(ds, 0.2, 0, 1e-8, 1, core.EvalOptions{})
 	rules := uncachedRules(core.InitStratified(ds, 10), b.N)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ev.Evaluate(rules[i])
+		ev.Evaluate(context.Background(), rules[i])
 	}
 }
 
@@ -371,11 +371,11 @@ func BenchmarkEvaluateRule(b *testing.B) {
 // chunking enabled for the scan fallback.
 func BenchmarkEvaluateRuleParallel(b *testing.B) {
 	ds := benchTrainDataset(b, 10000, 24)
-	ev := core.NewEvaluator(ds, 0.2, 0, 1e-8, 0)
+	ev := core.NewEvaluator(ds, 0.2, 0, 1e-8, 0, core.EvalOptions{})
 	rules := uncachedRules(core.InitStratified(ds, 10), b.N)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ev.Evaluate(rules[i])
+		ev.Evaluate(context.Background(), rules[i])
 	}
 }
 
@@ -399,7 +399,7 @@ func benchEngineSetup(b *testing.B, reg *obs.Registry) (*core.Evaluator, []*core
 		eng.Instrument(reg)
 		opt.Telemetry = reg
 	}
-	ev := core.NewEvaluatorOpt(ds, 0.2, 0, 1e-8, 0, opt)
+	ev := core.NewEvaluator(ds, 0.2, 0, 1e-8, 0, opt)
 	rules := uncachedRules(core.InitStratified(ds, 16), (b.N+1)*engineBenchBatch)
 	ev.EvaluateAll(context.Background(), rules[b.N*engineBenchBatch:])
 	return ev, rules[:b.N*engineBenchBatch]
@@ -445,7 +445,7 @@ func BenchmarkEnginePerRule(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, r := range rules[i*engineBenchBatch : (i+1)*engineBenchBatch] {
-			ev.Evaluate(r)
+			ev.Evaluate(context.Background(), r)
 		}
 	}
 }
@@ -480,7 +480,7 @@ func BenchmarkShardsAppend(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		s := engine.NewShards(ds, 8, 0)
+		s := engine.New(ds, engine.Options{Shards: 8, Workers: 0})
 		b.StartTimer()
 		if err := s.Append(inputs, targets); err != nil {
 			b.Fatal(err)
@@ -499,7 +499,7 @@ func BenchmarkShardsFullRebuild(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		engine.NewShards(grown, 8, 0)
+		engine.New(grown, engine.Options{Shards: 8, Workers: 0})
 	}
 }
 
@@ -625,7 +625,7 @@ func BenchmarkGenerationStep(b *testing.B) {
 // with a 200-rule system.
 func BenchmarkRuleSetPredict(b *testing.B) {
 	ds := benchTrainDataset(b, 3000, 24)
-	ev := core.NewEvaluator(ds, 0.5, 0, 1e-8, 1)
+	ev := core.NewEvaluator(ds, 0.5, 0, 1e-8, 1, core.EvalOptions{})
 	pop := core.InitStratified(ds, 200)
 	ev.EvaluateAll(context.Background(), pop)
 	rs := core.NewRuleSet(24)

@@ -448,8 +448,9 @@ func (f *Forecaster) Evict(n int) int {
 }
 
 // Predict forecasts one pattern (len D inputs). ok is false when the
-// system abstains — no rule covers the pattern — or nothing is
-// fitted yet.
+// system abstains — no rule covers the pattern, the pattern is not of
+// width D or holds a NaN or ±Inf — or nothing is fitted yet. It never
+// panics on caller input.
 func (f *Forecaster) Predict(pattern []float64) (v float64, ok bool) {
 	if f.rs == nil {
 		return 0, false
@@ -458,8 +459,8 @@ func (f *Forecaster) Predict(pattern []float64) (v float64, ok bool) {
 }
 
 // PredictDataset forecasts every pattern of the dataset; mask[i] is
-// false where the system abstained. Both slices are nil when nothing
-// is fitted yet.
+// false where the system abstained, as Predict would on that pattern.
+// Both slices are nil when nothing is fitted yet.
 func (f *Forecaster) PredictDataset(ds *Dataset) (pred []float64, mask []bool) {
 	if f.rs == nil {
 		return nil, nil
@@ -470,7 +471,8 @@ func (f *Forecaster) PredictDataset(ds *Dataset) (pred []float64, mask []bool) {
 // Forecast rolls a horizon-1 system forward `steps` steps past the
 // end of `recent` (at least D trailing values), feeding each
 // prediction back as input. It returns the trajectory and how many
-// steps were predicted before the system abstained.
+// steps were predicted before the system abstained — zero when the
+// trailing D values hold a NaN or ±Inf.
 func (f *Forecaster) Forecast(recent []float64, steps int) ([]float64, int) {
 	if f.rs == nil {
 		return nil, 0

@@ -4,22 +4,24 @@ import (
 	"context"
 
 	"repro/internal/linalg"
+	"repro/internal/parallel"
 	"repro/internal/series"
 )
 
-// Backend is a pluggable match backend: something other than the
-// evaluator's own single MatchIndex that can answer "which training
-// patterns does this rule match". The sharded, batched evaluation
-// engine in internal/engine implements it; core stays the single
-// owner of the regression and fitness math, so any backend that
-// returns exact matched sets yields bit-identical evaluations.
+// Backend is the match backend every Evaluator runs over: whatever
+// answers "which training patterns does this rule match". Core's own
+// IndexBackend (one MatchIndex over an immutable dataset) is the
+// default; the sharded, batched engine in internal/engine and the
+// remote cluster in internal/remote implement it too. Core stays the
+// single owner of the regression and fitness math, so any backend
+// that returns exact matched sets yields bit-identical evaluations.
 //
 // Implementations must be safe for concurrent use: one backend is
 // shared by every Evaluator of a multi-run wave or island ring.
 type Backend interface {
 	// Data returns the training dataset the backend answers for. An
 	// evaluator only adopts a backend whose Data is the very dataset
-	// it scores against (pointer identity, mirroring ensureIndex).
+	// it scores against (pointer identity; see servesData).
 	Data() *series.Dataset
 
 	// Epoch returns the backend's data epoch. It increments whenever
@@ -41,6 +43,57 @@ type Backend interface {
 	// then incomplete and the caller must discard it (the Evaluator
 	// checks ctx.Err() before using or caching anything).
 	MatchBatch(ctx context.Context, rules []*Rule) [][]int
+}
+
+// servesData is the sharing predicate behind every wiring site: an
+// evaluator over data adopts b (and any cache scoped by it) only when
+// b answers for that very dataset.
+func servesData(b Backend, data *series.Dataset) bool {
+	return b != nil && b.Data() == data
+}
+
+// IndexBackend is the in-process Backend over an immutable dataset:
+// one MatchIndex answers selective rules, and unselective ones fall
+// back to the chunk-parallel scan. Its epoch is always 0 — the data
+// never changes — and it never faults. Build one with NewIndexBackend
+// and share it across every evaluator over the same dataset
+// (multi-run waves, islands, ablation sweeps) to pay the index build
+// once.
+type IndexBackend struct {
+	ix      *MatchIndex
+	workers int // scan and batch parallelism; 0 = GOMAXPROCS
+}
+
+// NewIndexBackend indexes the dataset. workers bounds the fallback
+// scan and the rule-parallel MatchBatch (0 = GOMAXPROCS).
+func NewIndexBackend(data *series.Dataset, workers int) *IndexBackend {
+	return &IndexBackend{ix: NewMatchIndex(data), workers: workers}
+}
+
+// Data returns the indexed dataset.
+func (b *IndexBackend) Data() *series.Dataset { return b.ix.data }
+
+// Epoch is always 0: the indexed dataset is immutable.
+func (b *IndexBackend) Epoch() uint64 { return 0 }
+
+// MatchIndices answers from the index when it can beat a scan and
+// scans otherwise; both paths return identical results.
+func (b *IndexBackend) MatchIndices(r *Rule) []int {
+	if out, ok := b.ix.Lookup(r); ok {
+		return out
+	}
+	return scanMatches(b.ix.data, r, b.workers)
+}
+
+// MatchBatch matches the rules in parallel, each one serially (no
+// nested parallelism).
+func (b *IndexBackend) MatchBatch(ctx context.Context, rules []*Rule) [][]int {
+	out := make([][]int, len(rules))
+	serial := IndexBackend{ix: b.ix, workers: 1}
+	// A cancelled pass leaves out incomplete; per the Backend contract
+	// the caller checks ctx.Err() and discards it.
+	_ = parallel.ForCtx(ctx, len(rules), b.workers, func(i int) { out[i] = serial.MatchIndices(rules[i]) })
+	return out
 }
 
 // Store widens Backend into a lifecycle-managed training store: data

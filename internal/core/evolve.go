@@ -61,8 +61,8 @@ func NewExecution(ctx context.Context, cfg Config, data *series.Dataset) (*Execu
 
 	ex := &Execution{
 		Config: cfg,
-		Eval: NewEvaluatorOpt(data, emax, cfg.FMin, cfg.Ridge, cfg.Runtime.Workers,
-			EvalOptions{Index: cfg.Runtime.Index, Backend: cfg.Runtime.Backend, Cache: cfg.Runtime.Cache, Telemetry: cfg.Runtime.Telemetry}),
+		Eval: NewEvaluator(data, emax, cfg.FMin, cfg.Ridge, cfg.Runtime.Workers,
+			EvalOptions{Backend: cfg.Runtime.Backend, Cache: cfg.Runtime.Cache, Telemetry: cfg.Runtime.Telemetry}),
 		src:      rng.New(cfg.Seed),
 		predSpan: hi - lo,
 		tel:      newRunTelemetry(cfg.Runtime.Telemetry),
@@ -116,7 +116,7 @@ func (ex *Execution) step(ctx context.Context) bool {
 		child = ex.Pop[pa].Clone()
 	}
 	ex.mut.mutate(child, ex.src)
-	ex.Eval.EvaluateCtx(ctx, child)
+	ex.Eval.Evaluate(ctx, child)
 
 	var target int
 	switch cfg.Replacement {

@@ -15,21 +15,20 @@ import (
 // Evaluator fits rules against a fixed training dataset and computes
 // the paper's fitness. One Evaluator is shared by a whole execution;
 // it is safe for concurrent use by multiple goroutines: the dataset
-// and match index are read-only after construction and the evaluation
-// cache is internally synchronized.
+// and match backend are read-only during evaluation and the
+// evaluation cache is internally synchronized.
 //
-// Matching goes through one of two interchangeable paths: the
-// evaluator's own MatchIndex (the sequential single-index path), or a
-// pluggable Backend such as the sharded engine in internal/engine.
-// Both return exact matched sets, and all regression/fitness math
-// lives here, so the paths are bit-identical by construction.
+// Matching always goes through a Backend: the evaluator's own
+// IndexBackend by default, or a shared one — another IndexBackend,
+// the sharded engine in internal/engine, the remote cluster. Every
+// backend returns exact matched sets, and all regression/fitness math
+// lives here, so the choice is bit-identical by construction.
 type Evaluator struct {
 	data    *series.Dataset
 	emax    float64
 	fmin    float64
 	ridge   float64
 	workers int
-	idx     *MatchIndex // nil when backend is set
 	backend Backend
 	// backendCtx caches the backend's optional BackendCtx side (one
 	// type assertion at construction, not one per evaluation); nil when
@@ -45,17 +44,14 @@ type Evaluator struct {
 
 // EvalOptions carries the optional shared machinery an Evaluator can
 // be built around. All fields may be nil; the zero value reproduces a
-// self-contained evaluator with its own index and private cache.
+// self-contained evaluator with its own IndexBackend and private
+// cache.
 type EvalOptions struct {
-	// Index reuses a prebuilt MatchIndex so callers evaluating the
-	// same dataset many times (multi-run, islands, the Pittsburgh
-	// baseline) pay index construction once. Ignored (a fresh index is
-	// built) when nil or built over a different dataset.
-	Index *MatchIndex
-	// Backend routes all match queries through an external engine
-	// (see internal/engine). Ignored unless Backend.Data() is the
-	// evaluator's dataset — the same sharing predicate as Index. When
-	// adopted, no private MatchIndex is built at all.
+	// Backend routes all match queries through a shared backend — an
+	// IndexBackend reused across evaluators (so the index is built
+	// once), or an external engine (see internal/engine). Ignored (a
+	// fresh IndexBackend is built) unless Backend.Data() is the
+	// evaluator's dataset.
 	Backend Backend
 	// Cache replaces the evaluator-private result cache with a shared
 	// one. Cache keys embed the data epoch and evaluator parameters,
@@ -71,41 +67,25 @@ type EvalOptions struct {
 	Telemetry *obs.Registry
 }
 
-// NewEvaluator builds an evaluator over the training dataset,
-// including its own indexed match engine. emax and fmin are the
-// paper's EMAX and f_min; ridge regularizes the consequent
-// regression; workers bounds the parallel fallback scan
-// (0 = GOMAXPROCS).
-func NewEvaluator(data *series.Dataset, emax, fmin, ridge float64, workers int) *Evaluator {
-	return NewEvaluatorOpt(data, emax, fmin, ridge, workers, EvalOptions{})
-}
-
-// NewEvaluatorWith is NewEvaluator reusing a prebuilt MatchIndex; see
-// EvalOptions.Index.
-func NewEvaluatorWith(data *series.Dataset, emax, fmin, ridge float64, workers int, idx *MatchIndex) *Evaluator {
-	return NewEvaluatorOpt(data, emax, fmin, ridge, workers, EvalOptions{Index: idx})
-}
-
-// NewEvaluatorOpt is the general constructor: an evaluator over the
-// training dataset wired to whatever subset of shared machinery the
-// options carry.
-func NewEvaluatorOpt(data *series.Dataset, emax, fmin, ridge float64, workers int, opt EvalOptions) *Evaluator {
+// NewEvaluator builds an evaluator over the training dataset, wired
+// to whatever subset of shared machinery the options carry. emax and
+// fmin are the paper's EMAX and f_min; ridge regularizes the
+// consequent regression; workers bounds the parallel scan and batch
+// regressions (0 = GOMAXPROCS).
+func NewEvaluator(data *series.Dataset, emax, fmin, ridge float64, workers int, opt EvalOptions) *Evaluator {
 	e := &Evaluator{
 		data:    data,
 		emax:    emax,
 		fmin:    fmin,
 		ridge:   ridge,
 		workers: workers,
+		backend: opt.Backend,
+		cache:   opt.Cache,
 	}
-	if opt.Backend != nil && opt.Backend.Data() == data {
-		e.backend = opt.Backend
-		e.backendCtx, _ = opt.Backend.(BackendCtx)
-		if opt.Cache != nil {
-			e.cache = opt.Cache
-		}
-	} else {
-		e.idx = ensureIndex(opt.Index, data)
+	if !servesData(opt.Backend, data) {
+		e.backend, e.cache = NewIndexBackend(data, workers), nil
 	}
+	e.backendCtx, _ = e.backend.(BackendCtx)
 	if e.cache == nil {
 		e.cache = newEvalCache()
 	}
@@ -122,13 +102,7 @@ func (e *Evaluator) EMax() float64 { return e.emax }
 // Data returns the training dataset the evaluator scores against.
 func (e *Evaluator) Data() *series.Dataset { return e.data }
 
-// Index returns the evaluator's match index so it can be shared with
-// other evaluators over the same dataset. It is nil when the
-// evaluator matches through a Backend instead.
-func (e *Evaluator) Index() *MatchIndex { return e.idx }
-
-// Backend returns the evaluator's match backend, or nil when it runs
-// on its own single index.
+// Backend returns the evaluator's match backend.
 func (e *Evaluator) Backend() Backend { return e.backend }
 
 // BackendErr reports the backend's sticky out-of-band failure (see
@@ -143,43 +117,37 @@ func (e *Evaluator) BackendErr() error {
 }
 
 // MatchIndices returns the indices of training patterns matched by
-// the rule — the paper's C_R(S) — in ascending order. With a backend
-// the query fans out across its shards; otherwise selective rules are
-// answered by the match index and unselective ones fall back to the
-// chunk-parallel scan. All paths return identical results, so the
-// choice (and the parallelism degree) never affects outcomes.
-func (e *Evaluator) MatchIndices(r *Rule) []int {
-	if e.backend != nil {
-		return e.backend.MatchIndices(r)
-	}
-	if out, ok := e.idx.Lookup(r); ok {
-		return out
-	}
-	return e.MatchIndicesScan(r)
-}
+// the rule — the paper's C_R(S) — in ascending order, as answered by
+// the backend. Every backend returns identical results, so the choice
+// (and the parallelism degree) never affects outcomes.
+func (e *Evaluator) MatchIndices(r *Rule) []int { return e.backend.MatchIndices(r) }
 
 // MatchIndicesScan is the reference implementation: a linear scan of
 // every training pattern, chunked over goroutines for large datasets
 // with chunk-ordered merging keeping the result deterministic. It is
 // exported for benchmarks and equivalence tests; MatchIndices is the
 // fast path.
-func (e *Evaluator) MatchIndicesScan(r *Rule) []int {
-	n := e.data.Len()
+func (e *Evaluator) MatchIndicesScan(r *Rule) []int { return scanMatches(e.data, r, e.workers) }
+
+// scanMatches is the linear scan behind MatchIndicesScan and the
+// IndexBackend's fallback.
+func scanMatches(data *series.Dataset, r *Rule, workers int) []int {
+	n := data.Len()
 	// Parallelism pays only for large scans; the threshold keeps the
 	// tiny datasets in unit tests on the fast serial path.
-	if n < 4096 || parallel.Workers(e.workers) == 1 {
+	if n < 4096 || parallel.Workers(workers) == 1 {
 		var out []int
 		for i := 0; i < n; i++ {
-			if r.Match(e.data.Inputs[i]) {
+			if r.Match(data.Inputs[i]) {
 				out = append(out, i)
 			}
 		}
 		return out
 	}
-	return parallel.Fold(n, e.workers,
+	return parallel.Fold(n, workers,
 		func() []int { return nil },
 		func(acc []int, i int) []int {
-			if r.Match(e.data.Inputs[i]) {
+			if r.Match(data.Inputs[i]) {
 				acc = append(acc, i)
 			}
 			return acc
@@ -188,16 +156,13 @@ func (e *Evaluator) MatchIndicesScan(r *Rule) []int {
 }
 
 // evalKey builds the cache key for a conditional part: the backend's
-// data epoch (0 without a backend — the dataset is then immutable),
-// the IEEE-754 bits of the evaluator parameters the result depends
+// data epoch (always 0 for an IndexBackend — its dataset is
+// immutable), the IEEE-754 bits of the evaluator parameters the result depends
 // on, and the byte-exact gene signature. Epoch-prefixing means a
 // result computed before a streaming append can never be served
 // afterwards — the key itself has expired.
 func (e *Evaluator) evalKey(cond []Interval) string {
-	var epoch uint64
-	if e.backend != nil {
-		epoch = e.backend.Epoch()
-	}
+	epoch := e.backend.Epoch()
 	b := make([]byte, 0, 32+len(cond)*17)
 	var u [8]byte
 	binary.LittleEndian.PutUint64(u[:], epoch)
@@ -223,33 +188,16 @@ func (e *Evaluator) evalKey(cond []Interval) string {
 // Results are memoized by signature: an offspring whose genes survived
 // mutation/crossover unchanged reuses the prior match scan and
 // regression bit-for-bit instead of recomputing them.
-func (e *Evaluator) Evaluate(r *Rule) {
-	key := e.evalKey(r.Cond)
-	if c := e.cache.Get(key); c != nil {
-		c.apply(r)
-		e.evalsCached.Inc()
-		return
-	}
-	idx := e.MatchIndices(r)
-	if e.BackendErr() != nil {
-		// A faulted backend returns incomplete matched sets: leave the
-		// rule's prior evaluation intact and cache nothing. The run
-		// loops poll BackendErr and abort with the failure.
-		return
-	}
-	e.evalFromMatches(r, idx)
-	e.cache.Put(key, resultOf(r))
-	e.evalsComputed.Inc()
-}
-
-// EvaluateCtx is Evaluate with the caller's context threaded into the
-// match query: against a BackendCtx backend (the remote cluster) the
-// RPC becomes cancellable by the caller and inherits its trace span,
-// so a traced run shows every single-rule match it issues. A result
-// cut short by cancellation is discarded exactly like a backend
-// fault — the rule keeps its prior fields and nothing is cached.
-// Otherwise identical to Evaluate, bit for bit.
-func (e *Evaluator) EvaluateCtx(ctx context.Context, r *Rule) {
+//
+// The caller's context is threaded into the match query: against a
+// BackendCtx backend (the remote cluster) the RPC becomes cancellable
+// by the caller and inherits its trace span, so a traced run shows
+// every single-rule match it issues. A result cut short by
+// cancellation, or computed while the backend is faulted (see
+// BackendHealth), is discarded — the rule keeps its prior fields and
+// nothing is cached. The run loops poll BackendErr and abort with the
+// failure.
+func (e *Evaluator) Evaluate(ctx context.Context, r *Rule) {
 	key := e.evalKey(r.Cond)
 	if c := e.cache.Get(key); c != nil {
 		c.apply(r)
@@ -369,59 +317,23 @@ func (e *Evaluator) evalFromMatchesScratch(r *Rule, idx []int, fs *fitScratch) {
 // shared cache the counts aggregate every participating evaluator.
 func (e *Evaluator) CacheStats() (hits, misses int) { return e.cache.Stats() }
 
-// EvaluateAll evaluates every rule. With a backend the whole slice is
-// served by one batched scheduling pass (EvaluateBatch); otherwise it
-// parallelizes across rules (the per-rule work then runs serially,
-// avoiding nested parallelism). The workers share the match machinery
-// and evaluation cache; cached results are bit-identical to
-// recomputation, so scheduling cannot change outcomes.
-//
-// The context bounds the whole pass. On cancellation EvaluateAll
-// returns ctx.Err() promptly and the rules are in a mixed state: some
-// carry fresh evaluations, the rest still hold their prior fields —
-// but never a partial result, so any snapshot the caller keeps is
-// self-consistent.
-func (e *Evaluator) EvaluateAll(ctx context.Context, rules []*Rule) error {
-	if e.backend != nil && len(rules) > 1 {
-		return e.EvaluateBatch(ctx, rules)
-	}
-	serial := *e
-	serial.workers = 1
-	// Each iteration is one complete rule evaluation (match, regression
-	// and cache insert are atomic per rule), so stopping between
-	// iterations can never publish a torn result.
-	if err := parallel.ForCtx(ctx, len(rules), e.workers, func(i int) { serial.EvaluateCtx(ctx, rules[i]) }); err != nil {
-		return err
-	}
-	// Evaluate cannot report a backend fault itself (it skips the rule
-	// instead); surface it here so batch callers see the failure.
-	return e.BackendErr()
-}
-
-// EvaluateBatch evaluates a whole generation of rules through the
+// EvaluateAll evaluates a whole generation of rules through the
 // backend in one scheduling pass: signatures are deduplicated first
 // (offspring that collapsed to the same conditional part are computed
 // once), cache hits are peeled off, and the surviving unique rules go
-// to Backend.MatchBatch, which walks each shard index once per
-// selectivity group instead of dispatching rule by rule. Consequent
-// regressions then run in parallel across rules. Results are
-// bit-identical to calling Evaluate on each rule in order.
+// to Backend.MatchBatch — which on the sharded engine walks each shard
+// index once per selectivity group instead of dispatching rule by
+// rule. Consequent regressions then run in parallel across rules.
+// Results are bit-identical to calling Evaluate on each rule in order.
 //
-// Cancellation discards the batch: a MatchBatch cut short by the
-// context returns incomplete matched sets, so nothing from a cancelled
-// pass is cached or applied — the rules keep their prior fields and
-// EvaluateBatch returns ctx.Err().
-func (e *Evaluator) EvaluateBatch(ctx context.Context, rules []*Rule) error {
-	if e.backend == nil {
-		// No batching substrate: preserve the semantics anyway.
-		for _, r := range rules {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			e.EvaluateCtx(ctx, r)
-		}
-		return nil
-	}
+// The context bounds the whole pass. Cancellation discards the batch:
+// a MatchBatch cut short by the context returns incomplete matched
+// sets, so nothing from a cancelled pass is cached or applied — the
+// rules keep their prior fields (or, when cancellation lands during
+// the regressions, some hold complete fresh evaluations) and
+// EvaluateAll returns ctx.Err(). A backend fault is discarded the same
+// way and returned.
+func (e *Evaluator) EvaluateAll(ctx context.Context, rules []*Rule) error {
 	keys := make([]string, len(rules))
 	for i, r := range rules {
 		keys[i] = e.evalKey(r.Cond)

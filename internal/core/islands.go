@@ -78,10 +78,10 @@ func RunIslands(ctx context.Context, cfg IslandConfig, data *series.Dataset) (*I
 	seeds := rng.New(cfg.Base.Seed).SplitN(cfg.Islands)
 	islands := make([]*Execution, cfg.Islands)
 	// All islands evolve against the same dataset; share one match
-	// backend (the sharded engine when configured, a single match
-	// index otherwise) instead of building Islands copies.
+	// backend (the sharded engine when configured, one serial
+	// IndexBackend otherwise) instead of building Islands copies.
 	if cfg.Base.Runtime.Backend == nil {
-		cfg.Base.Runtime.Index = ensureIndex(cfg.Base.Runtime.Index, data)
+		cfg.Base.Runtime.Backend = NewIndexBackend(data, 1)
 	}
 	for i := range islands {
 		c := cfg.Base

@@ -85,16 +85,6 @@ func (ix *MatchIndex) Data() *series.Dataset { return ix.data }
 // scan path.
 func (ix *MatchIndex) Degenerate() bool { return ix.degenerate }
 
-// ensureIndex returns idx when it was built over data, otherwise a
-// fresh index — the single sharing predicate behind every wiring
-// site (evaluators, multi-run waves, islands).
-func ensureIndex(idx *MatchIndex, data *series.Dataset) *MatchIndex {
-	if idx == nil || idx.data != data {
-		return NewMatchIndex(data)
-	}
-	return idx
-}
-
 // GeneRange returns the candidate run [lo,hi) in the lag-j sorted
 // order holding every pattern whose lag-j value satisfies the gene.
 // ok=false means the index cannot answer range queries — the data is
@@ -111,7 +101,7 @@ func (ix *MatchIndex) GeneRange(j int, iv Interval) (lo, hi int, ok bool) {
 	lo = searchGE(vals, iv.Lo)
 	hi = searchGT(vals, iv.Hi)
 	if hi < lo {
-		// Inverted gene (Lo > Hi, e.g. loaded from JSON without
+		// Inverted gene (Lo > Hi, built without NewInterval's
 		// normalization): Contains is false everywhere, matching
 		// the scan's empty result.
 		hi = lo

@@ -25,7 +25,7 @@ func matchIndexDataset(t *testing.T, n, d int) *series.Dataset {
 
 func TestMatchIndexAllWildcard(t *testing.T) {
 	ds := matchIndexDataset(t, 60, 3)
-	ev := NewEvaluator(ds, 1.0, 0, 1e-8, 1)
+	ev := NewEvaluator(ds, 1.0, 0, 1e-8, 1, EvalOptions{})
 	r := NewRule([]Interval{Wild(), Wild(), Wild()})
 	got := ev.MatchIndices(r)
 	if len(got) != ds.Len() {
@@ -40,7 +40,7 @@ func TestMatchIndexAllWildcard(t *testing.T) {
 
 func TestMatchIndexEmptyInterval(t *testing.T) {
 	ds := matchIndexDataset(t, 60, 3)
-	ev := NewEvaluator(ds, 1.0, 0, 1e-8, 1)
+	ev := NewEvaluator(ds, 1.0, 0, 1e-8, 1, EvalOptions{})
 	// Interval entirely above the data range: nothing matches, and the
 	// result must be nil (not an empty non-nil slice) to stay
 	// interchangeable with the linear scan.
@@ -69,7 +69,7 @@ func TestMatchIndexInvertedInterval(t *testing.T) {
 func TestMatchIndexNaNFallsBackToScan(t *testing.T) {
 	ds := matchIndexDataset(t, 60, 3)
 	ds.Inputs[7] = []float64{math.NaN(), 0.1, 0.1}
-	ev := NewEvaluator(ds, 1.0, 0, 1e-8, 1)
+	ev := NewEvaluator(ds, 1.0, 0, 1e-8, 1, EvalOptions{})
 	r := NewRule([]Interval{NewInterval(-0.5, 0.5), Wild(), Wild()})
 	indexed := ev.MatchIndices(r)
 	naive := ev.MatchIndicesScan(r)
@@ -97,7 +97,7 @@ func TestMatchIndexNaNFallsBackToScan(t *testing.T) {
 // rather than return a spuriously empty match set.
 func TestMatchIndexNaNBoundFallsBackToScan(t *testing.T) {
 	ds := matchIndexDataset(t, 60, 3)
-	ev := NewEvaluator(ds, 1.0, 0, 1e-8, 1)
+	ev := NewEvaluator(ds, 1.0, 0, 1e-8, 1, EvalOptions{})
 	r := NewRule([]Interval{{Lo: math.NaN(), Hi: 0.5}, Wild(), Wild()})
 	indexed := ev.MatchIndices(r)
 	naive := ev.MatchIndicesScan(r)
@@ -112,15 +112,16 @@ func TestMatchIndexNaNBoundFallsBackToScan(t *testing.T) {
 }
 
 // A shared prebuilt index must not change results: the same MultiRun
-// with and without Config.Index serializes to identical bytes.
+// with and without a caller-built IndexBackend serializes to
+// identical bytes.
 func TestSharedIndexIdenticalResults(t *testing.T) {
 	ds := matchIndexDataset(t, 300, 4)
-	run := func(idx *MatchIndex) []byte {
+	run := func(shared Backend) []byte {
 		base := Default(4)
 		base.PopSize = 20
 		base.Generations = 150
 		base.Seed = 9
-		base.Runtime.Index = idx
+		base.Runtime.Backend = shared
 		res, err := MultiRun(context.Background(), MultiRunConfig{
 			Base:           base,
 			CoverageTarget: 2,
@@ -137,7 +138,7 @@ func TestSharedIndexIdenticalResults(t *testing.T) {
 		return buf.Bytes()
 	}
 	fresh := run(nil)
-	shared := run(NewMatchIndex(ds))
+	shared := run(NewIndexBackend(ds, 1))
 	if !bytes.Equal(fresh, shared) {
 		t.Fatal("shared index changed MultiRun results")
 	}
@@ -147,8 +148,8 @@ func TestSharedIndexIdenticalResults(t *testing.T) {
 func TestEvaluatorRejectsForeignIndex(t *testing.T) {
 	dsA := matchIndexDataset(t, 80, 3)
 	dsB := matchIndexDataset(t, 120, 3)
-	ev := NewEvaluatorWith(dsA, 1.0, 0, 1e-8, 1, NewMatchIndex(dsB))
-	if ev.Index().Data() != dsA {
+	ev := NewEvaluator(dsA, 1.0, 0, 1e-8, 1, EvalOptions{Backend: NewIndexBackend(dsB, 1)})
+	if ev.Backend().Data() != dsA {
 		t.Fatal("evaluator kept an index built over a different dataset")
 	}
 	r := NewRule([]Interval{Wild(), Wild(), Wild()})

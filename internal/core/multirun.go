@@ -82,10 +82,10 @@ func MultiRun(ctx context.Context, cfg MultiRunConfig, data *series.Dataset) (*M
 	// One match backend serves every execution. With an engine
 	// (cfg.Base.Runtime.Backend) the executions share its shards and —
 	// when cfg.Base.Runtime.Cache is set — its result cache; otherwise
-	// one immutable match index is built here and shared by the
-	// concurrent waves.
+	// one IndexBackend is built here and shared by the concurrent
+	// waves, serial like the executions themselves.
 	if cfg.Base.Runtime.Backend == nil {
-		cfg.Base.Runtime.Index = ensureIndex(cfg.Base.Runtime.Index, data)
+		cfg.Base.Runtime.Backend = NewIndexBackend(data, 1)
 	}
 
 	// Serialize progress callbacks across the wave's goroutines so

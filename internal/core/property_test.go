@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -119,7 +120,7 @@ func TestPropertyIndexedMatchEquivalence(t *testing.T) {
 		if ds == nil {
 			return true
 		}
-		ev := NewEvaluator(ds, 0.8, -5, 1e-8, 1)
+		ev := NewEvaluator(ds, 0.8, -5, 1e-8, 1, EvalOptions{})
 		for trial := 0; trial < 10; trial++ {
 			cond := make([]Interval, d)
 			for j := range cond {
@@ -177,7 +178,7 @@ func TestPropertyEvalCacheBitIdentical(t *testing.T) {
 		if ds == nil {
 			return true
 		}
-		ev := NewEvaluator(ds, 0.8, -5, 1e-8, 1)
+		ev := NewEvaluator(ds, 0.8, -5, 1e-8, 1, EvalOptions{})
 		cond := make([]Interval, 3)
 		for j := range cond {
 			if src.Bool(0.3) {
@@ -187,9 +188,9 @@ func TestPropertyEvalCacheBitIdentical(t *testing.T) {
 			}
 		}
 		a := NewRule(cond)
-		ev.Evaluate(a) // miss: computes and seeds the cache
+		ev.Evaluate(context.Background(), a) // miss: computes and seeds the cache
 		b := NewRule(append([]Interval(nil), cond...))
-		ev.Evaluate(b) // hit: must replay a's result exactly
+		ev.Evaluate(context.Background(), b) // hit: must replay a's result exactly
 		if a.Matches != b.Matches || a.Fitness != b.Fitness {
 			return false
 		}
@@ -236,7 +237,7 @@ func TestPropertyEvaluateConsistency(t *testing.T) {
 		if ds == nil {
 			return true
 		}
-		ev := NewEvaluator(ds, 0.8, -5, 1e-8, 1)
+		ev := NewEvaluator(ds, 0.8, -5, 1e-8, 1, EvalOptions{})
 		// Random rule.
 		cond := make([]Interval, 3)
 		for j := range cond {
@@ -247,7 +248,7 @@ func TestPropertyEvaluateConsistency(t *testing.T) {
 			}
 		}
 		r := NewRule(cond)
-		ev.Evaluate(r)
+		ev.Evaluate(context.Background(), r)
 		if r.Matches < 0 {
 			return false
 		}
@@ -297,7 +298,7 @@ func TestPropertyColumnarNaNEquivalence(t *testing.T) {
 			return true
 		}
 		ix := NewMatchIndex(ds)
-		ev := NewEvaluator(ds, 0.8, -5, 1e-8, 1)
+		ev := NewEvaluator(ds, 0.8, -5, 1e-8, 1, EvalOptions{})
 		sc := GetMatchScratch()
 		defer PutMatchScratch(sc)
 		var reuse []int

@@ -57,10 +57,32 @@ func (rs *RuleSet) Add(rules ...*Rule) { rs.Rules = append(rs.Rules, rules...) }
 // Len returns the number of rules in the system.
 func (rs *RuleSet) Len() int { return len(rs.Rules) }
 
+// predictable reports whether the system can answer for the pattern:
+// it has width D and every value is finite. A NaN compares false
+// against both bounds of every gene, so Rule.Match would let every
+// rule "match" it and the system would answer confidently from
+// garbage; a wrong width would panic in Rule.Match. The prediction
+// verbs abstain on both instead.
+func (rs *RuleSet) predictable(pattern []float64) bool {
+	if len(pattern) != rs.D {
+		return false
+	}
+	for _, v := range pattern {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
+}
+
 // Predict returns the system output for the pattern and whether any
 // rule matched. The output is the mean of the matching rules'
-// regression outputs, per §3.4.
+// regression outputs, per §3.4. The system abstains (ok=false) on a
+// pattern that is not of width D or holds a non-finite value.
 func (rs *RuleSet) Predict(pattern []float64) (float64, bool) {
+	if !rs.predictable(pattern) {
+		return 0, false
+	}
 	sum := 0.0
 	n := 0
 	for _, r := range rs.Rules {
@@ -79,7 +101,11 @@ func (rs *RuleSet) Predict(pattern []float64) (float64, bool) {
 // PredictWeighted is an extension of §3.4: matching rules are averaged
 // with weight 1/(e_R + eps) so tighter rules dominate. The paper uses
 // the unweighted mean; this variant exists for the ablation bench.
+// It abstains on the same inputs Predict does.
 func (rs *RuleSet) PredictWeighted(pattern []float64) (float64, bool) {
+	if !rs.predictable(pattern) {
+		return 0, false
+	}
 	const eps = 1e-9
 	sum, wsum := 0.0, 0.0
 	for _, r := range rs.Rules {

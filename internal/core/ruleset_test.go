@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math"
+	"os"
 	"path/filepath"
 	"testing"
 	"testing/quick"
@@ -187,6 +188,7 @@ func TestReadJSONRejectsMalformed(t *testing.T) {
 		`{"d":2,"rules":[{"cond":[{"lo":0,"hi":1}],"error":0}]}`,
 		`{"d":1,"rules":[{"cond":[{"lo":0,"hi":1}],"error":0,"coef":[1,2]}]}`,
 		`{"d":1,"rules":[{"cond":[{"lo":0,"hi":1}],"error":true}]}`,
+		`{"d":1,"rules":[{"cond":[{"lo":2,"hi":1}],"error":0}]}`, // Lo > Hi
 	}
 	for i, c := range cases {
 		if _, err := ReadJSON(bytes.NewBufferString(c)); err == nil {
@@ -213,6 +215,88 @@ func TestSaveLoad(t *testing.T) {
 	if _, err := Load(filepath.Join(dir, "missing.json")); err == nil {
 		t.Fatal("missing file accepted")
 	}
+}
+
+// TestSaveKeepsPreviousFileOnFailure: a Save that fails mid-write must
+// leave the previous model byte-for-byte intact and no temporary file
+// behind. encoding/json rejects NaN, so a NaN coefficient makes the
+// second Save fail after it has started writing.
+func TestSaveKeepsPreviousFileOnFailure(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "rules.json")
+	good := NewRuleSet(1)
+	good.Add(constRule(0, 1, 5))
+	if err := good.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	bad := NewRuleSet(1)
+	r := constRule(0, 1, 5)
+	r.Fit.Coef[0] = math.NaN()
+	bad.Add(r)
+	if err := bad.Save(path); err == nil {
+		t.Fatal("Save of a NaN coefficient succeeded")
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("failed Save changed the previous file:\n%s\nwant:\n%s", got, want)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		t.Fatalf("directory holds %v after a failed Save, want only rules.json", names)
+	}
+}
+
+// FuzzReadJSON feeds arbitrary bytes to the rule-set parser: it must
+// never panic, and any set it accepts must serialize stably — written,
+// re-read and written again, the bytes do not change.
+func FuzzReadJSON(f *testing.F) {
+	rs := NewRuleSet(2)
+	r1 := NewRule([]Interval{NewInterval(1, 2), Wild()})
+	r1.Fit = &linalg.LinearFit{Coef: []float64{0.5, -1}, Intercept: 3}
+	r1.Prediction, r1.Error, r1.Matches, r1.Fitness = 7, 0.25, 12, 30
+	r2 := NewRule([]Interval{NewInterval(-1, 0), NewInterval(5, 6)})
+	rs.Add(r1, r2)
+	var seed bytes.Buffer
+	if err := rs.WriteJSON(&seed); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed.Bytes())
+	f.Add([]byte(`{"d":1,"rules":[{"cond":[{"lo":2,"hi":1}],"error":0}]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := ReadJSON(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var first, second bytes.Buffer
+		if err := got.WriteJSON(&first); err != nil {
+			t.Fatalf("accepted set does not serialize: %v", err)
+		}
+		again, err := ReadJSON(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("re-reading written set: %v\n%s", err, first.Bytes())
+		}
+		if err := again.WriteJSON(&second); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("unstable round trip:\n%s\nthen:\n%s", first.Bytes(), second.Bytes())
+		}
+	})
 }
 
 // Property: the system prediction always lies within [min,max] of the

@@ -18,18 +18,13 @@ type Runtime struct {
 	// regressions; 0 = GOMAXPROCS.
 	Workers int
 
-	// Index optionally shares a prebuilt match engine across
-	// executions over the same dataset (multi-run waves, islands).
-	// Nil — or an index built over a different dataset — makes the
-	// execution build its own.
-	Index *MatchIndex
-
-	// Backend optionally routes every match query through an external
-	// evaluation backend — the sharded, batched engine in
-	// internal/engine — instead of the execution's own single index.
-	// Ignored unless it was built over this execution's dataset. Any
-	// backend returns exact matched sets, so results are bit-identical
-	// to the sequential path.
+	// Backend optionally shares one match backend across executions
+	// over the same dataset — an IndexBackend (multi-run waves and
+	// islands build one when this is nil), or the sharded, batched
+	// engine in internal/engine. Nil — or a backend built over a
+	// different dataset — makes the execution build its own
+	// IndexBackend. Any backend returns exact matched sets, so results
+	// are bit-identical to the sequential path.
 	//
 	// A backend may additionally be a lifecycle-managed Store
 	// (deletes, sliding windows, compaction, rebalancing); Store()

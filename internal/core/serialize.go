@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"path/filepath"
 
 	"repro/internal/linalg"
 )
@@ -64,7 +65,9 @@ func (rs *RuleSet) WriteJSON(w io.Writer) error {
 	return enc.Encode(out)
 }
 
-// ReadJSON decodes a rule set written by WriteJSON.
+// ReadJSON decodes a rule set written by WriteJSON. The bytes are
+// untrusted: besides shape errors it rejects a non-wildcard gene with
+// a NaN bound or Lo > Hi, an interval no evolved rule can carry.
 func ReadJSON(r io.Reader) (*RuleSet, error) {
 	var in ruleSetJSON
 	if err := json.NewDecoder(r).Decode(&in); err != nil {
@@ -80,6 +83,9 @@ func ReadJSON(r io.Reader) (*RuleSet, error) {
 		}
 		cond := make([]Interval, len(rj.Cond))
 		for j, ij := range rj.Cond {
+			if !ij.Wildcard && !(ij.Lo <= ij.Hi) {
+				return nil, fmt.Errorf("core: rule %d gene %d has invalid interval [%v, %v]", i, j, ij.Lo, ij.Hi)
+			}
 			cond[j] = Interval{Lo: ij.Lo, Hi: ij.Hi, Wildcard: ij.Wildcard}
 		}
 		rule := NewRule(cond)
@@ -107,17 +113,35 @@ func ReadJSON(r io.Reader) (*RuleSet, error) {
 	return rs, nil
 }
 
-// Save writes the rule set to a file.
-func (rs *RuleSet) Save(path string) error {
-	f, err := os.Create(path)
+// Save writes the rule set to a file atomically: the JSON goes to a
+// temporary file in the target's directory, which is synced and then
+// renamed over the target. A failed Save (an unencodable value, a full
+// disk, a crash mid-write) leaves any previous file intact and no
+// temporary file behind.
+func (rs *RuleSet) Save(path string) (err error) {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	if err := rs.WriteJSON(f); err != nil {
+	defer func() {
+		if err != nil {
+			f.Close()
+			os.Remove(f.Name())
+		}
+	}()
+	if err = f.Chmod(0o644); err != nil {
 		return err
 	}
-	return f.Close()
+	if err = rs.WriteJSON(f); err != nil {
+		return fmt.Errorf("core: saving rule set to %s: %w", path, err)
+	}
+	if err = f.Sync(); err != nil {
+		return err
+	}
+	if err = f.Close(); err != nil {
+		return err
+	}
+	return os.Rename(f.Name(), path)
 }
 
 // Load reads a rule set from a file.

@@ -47,7 +47,7 @@ func TestAppendMatchesRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewShards(ds, 4, 1)
+	s := New(ds, Options{Shards: 4, Workers: 1})
 
 	grown := prefix
 	for _, chunk := range []int{50, 80, 70} {
@@ -103,7 +103,7 @@ func TestAppendMatchesRebuild(t *testing.T) {
 		t.Fatalf("grown dataset has %d patterns, a fresh window %d", ds.Len(), want.Len())
 	}
 
-	ref := core.NewEvaluator(ds, 0.5, 0, 1e-8, 1)
+	ref := core.NewEvaluator(ds, 0.5, 0, 1e-8, 1, core.EvalOptions{})
 	for ri, r := range randomRules(ds, 40, 3) {
 		if got := s.MatchIndices(r); !intsEqual(got, ref.MatchIndicesScan(r)) {
 			t.Fatalf("rule %d: post-append matched set diverges from sequential scan", ri)
@@ -114,7 +114,7 @@ func TestAppendMatchesRebuild(t *testing.T) {
 // TestAppendInvalidatesCachedResults is the satellite regression: a
 // cache warmed before an append must never serve pre-append matched
 // sets afterwards — whether invalidated explicitly (Engine.Append) or
-// reached through a bypassing Shards.Append, where only the
+// reached through the bare appendRows implementation, where only the
 // epoch-prefixed keys stand between a stale entry and a wrong result.
 func TestAppendInvalidatesCachedResults(t *testing.T) {
 	ds := testDataset(t, 120, 3, false)
@@ -126,10 +126,10 @@ func TestAppendInvalidatesCachedResults(t *testing.T) {
 	for _, bypass := range []bool{false, true} {
 		ds := testDataset(t, 120, 3, false)
 		eng := New(ds, Options{Shards: 3})
-		ev := core.NewEvaluatorOpt(ds, 0.5, 0, 1e-8, 1, core.EvalOptions{Backend: eng, Cache: eng.Cache()})
+		ev := core.NewEvaluator(ds, 0.5, 0, 1e-8, 1, core.EvalOptions{Backend: eng, Cache: eng.Cache()})
 
 		r := all.Clone()
-		ev.Evaluate(r)
+		ev.Evaluate(context.Background(), r)
 		if r.Matches != n0 {
 			t.Fatalf("pre-append Matches = %d, want %d", r.Matches, n0)
 		}
@@ -138,7 +138,7 @@ func TestAppendInvalidatesCachedResults(t *testing.T) {
 		targets := []float64{0, 0.1}
 		var err error
 		if bypass {
-			err = eng.Shards.Append(inputs, targets) // no cache Invalidate
+			err = eng.appendRows(inputs, targets, nil) // no cache Invalidate
 		} else {
 			err = eng.Append(inputs, targets)
 		}
@@ -147,7 +147,7 @@ func TestAppendInvalidatesCachedResults(t *testing.T) {
 		}
 
 		r2 := all.Clone()
-		ev.Evaluate(r2)
+		ev.Evaluate(context.Background(), r2)
 		if r2.Matches != n0+2 {
 			t.Fatalf("bypass=%v: post-append Matches = %d, want %d — stale cache served a pre-append matched set",
 				bypass, r2.Matches, n0+2)

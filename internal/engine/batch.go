@@ -41,9 +41,9 @@ type mergeScratch struct {
 
 var mergeScratchPool = sync.Pool{New: func() any { return new(mergeScratch) }}
 
-// matchBatch is the MatchBatch implementation; the exported wrapper
-// (telemetry.go) adds the optional latency/size instrumentation.
-func (s *Shards) matchBatch(ctx context.Context, rules []*core.Rule) [][]int {
+// matchBatch is the MatchBatch implementation; MatchBatch (engine.go)
+// adds the optional latency/size instrumentation.
+func (s *Engine) matchBatch(ctx context.Context, rules []*core.Rule) [][]int {
 	out := make([][]int, len(rules))
 	if len(rules) == 0 {
 		return out
@@ -165,7 +165,7 @@ func (s *Shards) matchBatch(ctx context.Context, rules []*core.Rule) [][]int {
 // order (clearing as it goes, restoring the scratch's all-zero
 // invariant): O(k + touched-words), independent of shard layout, and
 // deterministic for any parallelism.
-func (s *Shards) mergeIntoLocked(dst []int, locals [][][]int, w int, ms *mergeScratch) []int {
+func (s *Engine) mergeIntoLocked(dst []int, locals [][][]int, w int, ms *mergeScratch) []int {
 	need := (s.data.Len() + 63) >> 6
 	if cap(ms.words) < need {
 		ms.words = make([]uint64, need)
@@ -207,7 +207,7 @@ func (s *Shards) mergeIntoLocked(dst []int, locals [][][]int, w int, ms *mergeSc
 // (NaN bound, or a shard with NaN-degenerate data) is skipped; when
 // no gene is answerable everywhere the plan's dim is -1 and each
 // shard falls back to its own two-path logic.
-func (s *Shards) planLocked(r *core.Rule) batchPlan {
+func (s *Engine) planLocked(r *core.Rule) batchPlan {
 	bestDim := -1
 	bestCount := -1
 	hasGene := false

@@ -80,7 +80,7 @@ func TestMatchBatchCancelledMidwayLeavesNoGoroutines(t *testing.T) {
 func TestEvaluateBatchCancelledDiscardsEverything(t *testing.T) {
 	ds := testDataset(t, 2048, 3, false)
 	eng := New(ds, Options{Shards: 4, Workers: 2})
-	ev := core.NewEvaluatorOpt(ds, 0.5, 0, 1e-8, 2,
+	ev := core.NewEvaluator(ds, 0.5, 0, 1e-8, 2,
 		core.EvalOptions{Backend: eng, Cache: eng.Cache()})
 
 	rules := randomRules(ds, 32, 3)

@@ -85,7 +85,7 @@ func intsEqual(a, b []int) bool {
 func TestShardsPartitionCoversDataset(t *testing.T) {
 	ds := testDataset(t, 200, 4, false)
 	for _, p := range []int{1, 2, 3, 7, 1000} {
-		s := NewShards(ds, p, 1)
+		s := New(ds, Options{Shards: p, Workers: 1})
 		total := 0
 		for _, size := range s.ShardSizes() {
 			if size == 0 {
@@ -105,10 +105,10 @@ func TestShardsPartitionCoversDataset(t *testing.T) {
 func TestMatchIndicesEqualsSequential(t *testing.T) {
 	for _, nan := range []bool{false, true} {
 		ds := testDataset(t, 300, 4, nan)
-		ref := core.NewEvaluator(ds, 0.2, 0, 1e-8, 1)
+		ref := core.NewEvaluator(ds, 0.2, 0, 1e-8, 1, core.EvalOptions{})
 		rules := randomRules(ds, 60, 11)
 		for _, p := range []int{1, 2, 5} {
-			s := NewShards(ds, p, 0)
+			s := New(ds, Options{Shards: p, Workers: 0})
 			for ri, r := range rules {
 				want := ref.MatchIndicesScan(r)
 				if got := s.MatchIndices(r); !intsEqual(got, want) {
@@ -124,7 +124,7 @@ func TestMatchBatchEqualsMatchIndices(t *testing.T) {
 		ds := testDataset(t, 300, 4, nan)
 		rules := randomRules(ds, 50, 23)
 		for _, p := range []int{1, 3, 8} {
-			s := NewShards(ds, p, 0)
+			s := New(ds, Options{Shards: p, Workers: 0})
 			batch := s.MatchBatch(context.Background(), rules)
 			if len(batch) != len(rules) {
 				t.Fatalf("MatchBatch returned %d results for %d rules", len(batch), len(rules))
@@ -142,10 +142,10 @@ func TestConfigureWiresBackendAndCache(t *testing.T) {
 	ds := testDataset(t, 200, 3, false)
 	eng := New(ds, Options{Shards: 3})
 	cfg := core.Default(3)
-	cfg.Runtime.Index = core.NewMatchIndex(ds) // must be cleared
+	cfg.Runtime.Backend = core.NewIndexBackend(ds, 1) // must be replaced
 	eng.Configure(&cfg)
-	if cfg.Runtime.Backend != core.Backend(eng) || cfg.Runtime.Cache != core.EvalCache(eng.Cache()) || cfg.Runtime.Index != nil {
-		t.Fatal("Configure did not wire backend/cache/index as documented")
+	if cfg.Runtime.Backend != core.Backend(eng) || cfg.Runtime.Cache != core.EvalCache(eng.Cache()) {
+		t.Fatal("Configure did not wire backend/cache as documented")
 	}
 	cfg.Generations = 30
 	cfg.PopSize = 10
@@ -170,12 +170,12 @@ func TestEvaluatorRejectsForeignEngine(t *testing.T) {
 	dsA := testDataset(t, 200, 3, false)
 	dsB := testDataset(t, 260, 3, false)
 	eng := New(dsB, Options{Shards: 2})
-	ev := core.NewEvaluatorOpt(dsA, 1.0, 0, 1e-8, 1,
+	ev := core.NewEvaluator(dsA, 1.0, 0, 1e-8, 1,
 		core.EvalOptions{Backend: eng, Cache: eng.Cache()})
-	if ev.Backend() != nil {
+	if ev.Backend() == core.Backend(eng) {
 		t.Fatal("evaluator adopted an engine built over a different dataset")
 	}
-	if ev.Index() == nil || ev.Index().Data() != dsA {
+	if ev.Backend().Data() != dsA {
 		t.Fatal("evaluator did not fall back to its own index")
 	}
 	ev.EvaluateAll(context.Background(), randomRules(dsA, 10, 5))
@@ -190,7 +190,7 @@ func TestEvaluatorRejectsForeignEngine(t *testing.T) {
 func TestEvaluatorRejectsCacheWithoutBackend(t *testing.T) {
 	ds := testDataset(t, 200, 3, false)
 	eng := New(ds, Options{Shards: 2})
-	ev := core.NewEvaluatorOpt(ds, 1.0, 0, 1e-8, 1, core.EvalOptions{Cache: eng.Cache()})
+	ev := core.NewEvaluator(ds, 1.0, 0, 1e-8, 1, core.EvalOptions{Cache: eng.Cache()})
 	ev.EvaluateAll(context.Background(), randomRules(ds, 10, 5))
 	if hits, misses := eng.Cache().Stats(); hits+misses != 0 || eng.Cache().Len() != 0 {
 		t.Fatal("evaluator adopted a shared cache without its backend")

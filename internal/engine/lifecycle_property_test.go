@@ -127,11 +127,11 @@ func checkLiveState(t *testing.T, step string, eng *Engine, m *naiveStore) {
 func checkEvalEquivalence(t *testing.T, step string, eng *Engine, ev *core.Evaluator, m *naiveStore, rules []*core.Rule) {
 	t.Helper()
 	const emax, fmin, ridge = 0.7, 0.0, 1e-8
-	ref := core.NewEvaluator(m.dataset(), emax, fmin, ridge, 1)
+	ref := core.NewEvaluator(m.dataset(), emax, fmin, ridge, 1, core.EvalOptions{})
 
 	want := cloneAll(rules)
 	for _, r := range want {
-		ref.Evaluate(r)
+		ref.Evaluate(context.Background(), r)
 	}
 	gotBatch := cloneAll(rules)
 	ev.EvaluateAll(context.Background(), gotBatch)
@@ -140,7 +140,7 @@ func checkEvalEquivalence(t *testing.T, step string, eng *Engine, ev *core.Evalu
 	}
 	gotSingle := cloneAll(rules)
 	for _, r := range gotSingle {
-		ev.Evaluate(r)
+		ev.Evaluate(context.Background(), r)
 	}
 	for i := range gotSingle {
 		requireIdentical(t, step+"/per-rule", i, gotSingle[i], want[i])
@@ -177,9 +177,9 @@ func driveLifecycle(t *testing.T, seed int64, n0, d, nanEvery, shards, workers, 
 	})
 	m := newNaiveStore(ds)
 	const emax, fmin, ridge = 0.7, 0.0, 1e-8
-	ev := core.NewEvaluatorOpt(eng.Data(), emax, fmin, ridge, workers,
+	ev := core.NewEvaluator(eng.Data(), emax, fmin, ridge, workers,
 		core.EvalOptions{Backend: eng, Cache: eng.Cache()})
-	if ev.Backend() == nil {
+	if ev.Backend() != core.Backend(eng) {
 		t.Fatal("evaluator did not adopt the engine")
 	}
 

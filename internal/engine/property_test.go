@@ -96,9 +96,9 @@ func checkEngineEquivalence(t *testing.T, ds *series.Dataset, rules []*core.Rule
 	const emax, fmin, ridge = 0.7, 0.0, 1e-8
 
 	want := cloneAll(rules)
-	ref := core.NewEvaluator(ds, emax, fmin, ridge, 1)
+	ref := core.NewEvaluator(ds, emax, fmin, ridge, 1, core.EvalOptions{})
 	for _, r := range want {
-		ref.Evaluate(r)
+		ref.Evaluate(context.Background(), r)
 	}
 
 	eng := New(ds, Options{Shards: shards, Workers: workers})
@@ -106,14 +106,14 @@ func checkEngineEquivalence(t *testing.T, ds *series.Dataset, rules []*core.Rule
 	if shared {
 		opt.Cache = eng.Cache()
 	}
-	ev := core.NewEvaluatorOpt(ds, emax, fmin, ridge, workers, opt)
+	ev := core.NewEvaluator(ds, emax, fmin, ridge, workers, opt)
 
 	label := "batched"
 	got := cloneAll(rules)
 	if batch <= 0 {
 		label = "per-rule"
 		for _, r := range got {
-			ev.Evaluate(r)
+			ev.Evaluate(context.Background(), r)
 		}
 	} else {
 		for lo := 0; lo < len(got); lo += batch {
@@ -176,7 +176,7 @@ func TestEngineEquivalenceRandomized(t *testing.T) {
 }
 
 // FuzzEngineMatch fuzzes the raw match layer: for arbitrary
-// dataset/rule draws and shard counts, Shards.MatchIndices and
+// dataset/rule draws and shard counts, Engine.MatchIndices and
 // MatchBatch must equal the reference linear scan.
 func FuzzEngineMatch(f *testing.F) {
 	f.Add(int64(1), uint8(100), uint8(3), uint8(2), false)
@@ -192,8 +192,8 @@ func FuzzEngineMatch(f *testing.F) {
 		}
 		ds := randomDataset(t, src, nn, dd, nanEvery)
 		rules := randomRules(ds, 12, seed+1)
-		ref := core.NewEvaluator(ds, 1, 0, 1e-8, 1)
-		s := NewShards(ds, 1+int(shards)%10, 0)
+		ref := core.NewEvaluator(ds, 1, 0, 1e-8, 1, core.EvalOptions{})
+		s := New(ds, Options{Shards: 1 + int(shards)%10, Workers: 0})
 		batch := s.MatchBatch(context.Background(), rules)
 		for ri, r := range rules {
 			want := ref.MatchIndicesScan(r)

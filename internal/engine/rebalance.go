@@ -23,9 +23,9 @@ import (
 // steady streams don't thrash.
 const rebalanceBound = 2
 
-// rebalance is the Rebalance implementation; the exported wrapper
-// (telemetry.go) adds the optional timing instrumentation.
-func (s *Shards) rebalance() int {
+// rebalance is the Rebalance implementation; Rebalance (engine.go)
+// adds the telemetry and cache invalidation.
+func (s *Engine) rebalance() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ops := s.rebalanceLocked()
@@ -50,7 +50,7 @@ func (s *Shards) rebalance() int {
 // within a balancing phase, so the loop converges; a step cap guards
 // it regardless. Callers hold mu and are responsible for the epoch
 // bump.
-func (s *Shards) rebalanceLocked() int {
+func (s *Engine) rebalanceLocked() int {
 	ops := 0
 	maxSteps := 16 + 4*(len(s.parts)+s.targetP)
 	for step := 0; step < maxSteps; step++ {
@@ -81,7 +81,7 @@ func (s *Shards) rebalanceLocked() int {
 // split only fires when it does — otherwise splitting and the merge
 // rule would undo each other forever (split [5,5] → [5,3,2] → merge
 // → [5,5] → ...).
-func (s *Shards) splitStaysBalancedLocked(i int) bool {
+func (s *Engine) splitStaysBalancedLocked(i int) bool {
 	lo := s.liveOfLocked(i) / 2
 	hi := s.liveOfLocked(i) - lo
 	nmin, nmax := lo, hi
@@ -99,7 +99,7 @@ func (s *Shards) splitStaysBalancedLocked(i int) bool {
 }
 
 // liveOfLocked returns shard i's live size (0 when out of range).
-func (s *Shards) liveOfLocked(i int) int {
+func (s *Engine) liveOfLocked(i int) int {
 	if i < 0 || i >= len(s.parts) {
 		return 0
 	}
@@ -110,7 +110,7 @@ func (s *Shards) liveOfLocked(i int) int {
 // shards by live size. Ties go to the lower index for the minimum and
 // to the higher query cost (then lower index) for the maximum, so the
 // hottest of equally-oversized shards splits first.
-func (s *Shards) extremesLocked() (minI, maxI int) {
+func (s *Engine) extremesLocked() (minI, maxI int) {
 	for i := 1; i < len(s.parts); i++ {
 		if s.liveOfLocked(i) < s.liveOfLocked(minI) {
 			minI = i
@@ -125,7 +125,7 @@ func (s *Shards) extremesLocked() (minI, maxI int) {
 
 // secondSmallestLocked returns the smallest shard other than skip, or
 // -1 when there is none.
-func (s *Shards) secondSmallestLocked(skip int) int {
+func (s *Engine) secondSmallestLocked(skip int) int {
 	best := -1
 	for i := range s.parts {
 		if i == skip {
@@ -142,7 +142,7 @@ func (s *Shards) secondSmallestLocked(skip int) int {
 // evicted-and-compacted windows leave them behind), keeping at least
 // one so the engine stays queryable. No index rebuilds: removed
 // shards hold nothing.
-func (s *Shards) dropEmptyLocked() {
+func (s *Engine) dropEmptyLocked() {
 	keep := s.parts[:0]
 	for _, sh := range s.parts {
 		if sh.data.Len() > 0 {
@@ -159,7 +159,7 @@ func (s *Shards) dropEmptyLocked() {
 // (tombstoned rows travel with whichever half holds them) and
 // rebuilds the two half indexes in parallel — together about the cost
 // of the one rebuild the original shard would need anyway.
-func (s *Shards) splitLocked(i int) {
+func (s *Engine) splitLocked(i int) {
 	sh := s.parts[i]
 	// Cut after half the live rows so both halves serve equal load.
 	cut, liveSeen := 0, 0
@@ -188,7 +188,7 @@ func (s *Shards) splitLocked(i int) {
 
 // subShardLocked builds a shard over sh's local rows [from,to), carrying
 // global positions and tombstones across (index left for the caller).
-func (s *Shards) subShardLocked(sh *shard, from, to int) *shard {
+func (s *Engine) subShardLocked(sh *shard, from, to int) *shard {
 	size := to - from
 	out := &shard{
 		global: append(make([]int32, 0, size), sh.global[from:to]...),
@@ -210,7 +210,7 @@ func (s *Shards) subShardLocked(sh *shard, from, to int) *shard {
 // mergeLocked merges shards a and b into one (interleaving their rows
 // back into ascending global order) and rebuilds the single merged
 // index.
-func (s *Shards) mergeLocked(a, b int) {
+func (s *Engine) mergeLocked(a, b int) {
 	if a > b {
 		a, b = b, a
 	}

@@ -20,57 +20,12 @@ package engine
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/parallel"
 	"repro/internal/series"
 )
-
-// Shards is the training dataset partitioned across P shards, each
-// carrying its own slice of patterns and its own MatchIndex. The
-// initial build partitions contiguously; streaming appends route new
-// patterns to the shard with the fewest live rows (rebuilding only
-// that shard's index), so after appends a shard owns an ascending but
-// not necessarily contiguous set of global pattern indices. Queries
-// merge per-shard results through a bitmap over global indices, which
-// restores ascending order regardless of layout.
-//
-// Rows leave through tombstones: Delete and Window mark rows dead in
-// per-shard bitmaps, every match path skips them, and compaction
-// (threshold-triggered or explicit) rewrites the affected shards and
-// the global dataset view so the memory is reclaimed and Data()
-// shrinks back to the live rows. Rows are named across these
-// renumberings by their stable series.RowID, assigned in insertion
-// order; the global view always keeps live rows in insertion order,
-// which is what makes engine evaluations bit-identical to a
-// from-scratch build over the live rows (floating-point accumulation
-// order is part of the contract).
-//
-// Match queries are safe for concurrent use with each other;
-// mutations (Append, Delete, Window, Compact, Rebalance) exclude
-// queries via the RWMutex but mutate the shared dataset in place —
-// callers must not mutate concurrently with code reading the dataset
-// outside the engine (streaming loops alternate evolve and mutate
-// phases).
-type Shards struct {
-	mu      sync.RWMutex
-	data    *series.Dataset // guarded by mu: the full dataset view; Append grows it, Compact shrinks it
-	parts   []*shard        // guarded by mu
-	workers int             // fixed at construction
-	epoch   atomic.Uint64
-	tel     *telemetry // set by Instrument before the shards are shared; nil = disabled
-
-	deadTotal int          // guarded by mu: tombstoned rows awaiting compaction, across all shards
-	nextID    series.RowID // guarded by mu: next RowID to assign on Append
-
-	// Lifecycle policy (fixed at construction; see Options).
-	compactThreshold float64 // per-shard dead ratio that triggers auto-compaction; <0 disables
-	autoRebalance    bool
-	targetP          int // configured shard count rebalancing regrows toward
-}
 
 // shard is one partition: a shard-local dataset whose rows alias the
 // full dataset's rows (read-only), the ascending global index of each
@@ -143,81 +98,9 @@ func (sh *shard) filterLiveFrom(dst []int, start int) []int {
 	return dst[:w]
 }
 
-// NewShards partitions the dataset into p shards (p<=0 → GOMAXPROCS,
-// clamped to the dataset size so no shard is empty) and builds one
-// MatchIndex per shard. workers bounds the fan-out goroutines for
-// queries (0 = GOMAXPROCS). The engine takes ownership of the
-// dataset's lifecycle: all mutations must go through the engine.
-func NewShards(data *series.Dataset, p, workers int) *Shards {
-	return NewShardsOpt(data, Options{Shards: p, Workers: workers})
-}
-
-// NewShardsOpt is NewShards with the full option set (lifecycle
-// thresholds, rebalancing). Options are clamped in one place; see
-// Options.Clamped.
-func NewShardsOpt(data *series.Dataset, opt Options) *Shards {
-	opt = opt.Clamped()
-	n := data.Len()
-	p := opt.Shards
-	if p <= 0 {
-		p = runtime.GOMAXPROCS(0)
-	}
-	targetP := p // a tiny seed clamps p below; rebalancing regrows toward the configured count
-	if p > n {
-		p = n
-	}
-	if p < 1 {
-		p = 1
-	}
-	s := &Shards{
-		data:             data,
-		workers:          opt.Workers,
-		compactThreshold: opt.CompactThreshold,
-		autoRebalance:    opt.Rebalance,
-		targetP:          targetP,
-	}
-	// Stable row identity: adopt the dataset's ids when it already has
-	// ascending ones (a store handing data across engines), otherwise
-	// number rows by position.
-	if data.HasAscendingIDs() {
-		s.nextID = data.IDs[n-1] + 1
-	} else {
-		s.nextID = data.AssignIDs(0)
-	}
-	s.parts = make([]*shard, p)
-	// Contiguous blocks, remainder spread over the first shards: the
-	// same layout a from-scratch rebuild would produce.
-	base, rem := n/p, n%p
-	parallel.For(p, opt.Workers, func(i int) {
-		size := base
-		if i < rem {
-			size++
-		}
-		start := i*base + min(i, rem)
-		sh := &shard{
-			global: make([]int32, size),
-			data: &series.Dataset{
-				Inputs:  make([][]float64, size),
-				Targets: make([]float64, size),
-				D:       data.D,
-				Horizon: data.Horizon,
-			},
-		}
-		for k := 0; k < size; k++ {
-			g := start + k
-			sh.global[k] = int32(g)
-			sh.data.Inputs[k] = data.Inputs[g]
-			sh.data.Targets[k] = data.Targets[g]
-		}
-		sh.idx = core.NewMatchIndex(sh.data)
-		s.parts[i] = sh
-	})
-	return s
-}
-
 // P returns the current number of shards. Rebalancing splits and
 // merges shards, so the count can drift from the configured one.
-func (s *Shards) P() int {
+func (s *Engine) P() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return len(s.parts)
@@ -225,7 +108,7 @@ func (s *Shards) P() int {
 
 // Len returns the number of resident training patterns — live rows
 // plus tombstoned rows awaiting compaction. Data().Len() equals it.
-func (s *Shards) Len() int {
+func (s *Engine) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.data.Len()
@@ -233,7 +116,7 @@ func (s *Shards) Len() int {
 
 // LiveLen returns the number of live training patterns: the rows
 // match queries range over.
-func (s *Shards) LiveLen() int {
+func (s *Engine) LiveLen() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.data.Len() - s.deadTotal
@@ -245,7 +128,7 @@ func (s *Shards) LiveLen() int {
 // whole lifecycle. Between a Delete/Window and the compaction that
 // follows it, the view still holds the tombstoned rows — no match
 // result ever references them.
-func (s *Shards) Data() *series.Dataset {
+func (s *Engine) Data() *series.Dataset {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.data
@@ -255,11 +138,11 @@ func (s *Shards) Data() *series.Dataset {
 // deletes, windows, compactions, rebalances) performed. Evaluation-
 // cache keys embed it, expiring every result computed against an
 // older snapshot.
-func (s *Shards) Epoch() uint64 { return s.epoch.Load() }
+func (s *Engine) Epoch() uint64 { return s.epoch.Load() }
 
 // ShardSizes returns the current resident pattern count of every
 // shard (a diagnostics hook for tests and the streaming example).
-func (s *Shards) ShardSizes() []int {
+func (s *Engine) ShardSizes() []int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	sizes := make([]int, len(s.parts))
@@ -284,7 +167,7 @@ type ShardStat struct {
 
 // ShardStats returns per-shard live/dead sizes and cumulative query
 // cost — the observables the rebalancing policy keys on.
-func (s *Shards) ShardStats() []ShardStat {
+func (s *Engine) ShardStats() []ShardStat {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	stats := make([]ShardStat, len(s.parts))
@@ -302,7 +185,7 @@ func (s *Shards) ShardStats() []ShardStat {
 // LiveSpread returns the smallest and largest live shard sizes — the
 // observable the rebalancing policy bounds (hi <= 2*lo once balanced)
 // and the one its consumers report.
-func (s *Shards) LiveSpread() (lo, hi int) {
+func (s *Engine) LiveSpread() (lo, hi int) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	lo = -1
@@ -321,23 +204,9 @@ func (s *Shards) LiveSpread() (lo, hi int) {
 	return lo, hi
 }
 
-// Append adds streaming patterns to the dataset and maintains the
-// shard indexes incrementally: all new patterns are routed to the
-// shard currently holding the fewest live rows (lowest index on ties,
-// so the layout is deterministic) and only that shard's index is
-// rebuilt — O(n_s log n_s) instead of the full O(n log n) rebuild.
-// The global dataset view grows in place and each new row receives
-// the next ascending RowID. When rebalancing is enabled, a chunk that
-// leaves the routed shard oversized is split apart again before
-// Append returns. Returns an error when a pattern's width does not
-// match the dataset's D or inputs and targets disagree in length.
-func (s *Shards) Append(inputs [][]float64, targets []float64) error {
-	return s.AppendRows(inputs, targets, nil)
-}
-
-// appendRows is the AppendRows implementation; the exported wrapper
-// (telemetry.go) adds the optional timing instrumentation.
-func (s *Shards) appendRows(inputs [][]float64, targets []float64, ids []series.RowID) error {
+// appendRows is the AppendRows implementation; AppendRows (engine.go)
+// adds the telemetry and cache invalidation.
+func (s *Engine) appendRows(inputs [][]float64, targets []float64, ids []series.RowID) error {
 	if len(inputs) != len(targets) {
 		return fmt.Errorf("engine: Append with %d inputs but %d targets", len(inputs), len(targets))
 	}
@@ -410,7 +279,7 @@ func (s *Shards) appendRows(inputs [][]float64, targets []float64, ids []series.
 // across shards (each answered by its own index, falling back to a
 // shard-local scan when the index cannot beat one) and the per-shard
 // hits are merged through a global bitmap.
-func (s *Shards) MatchIndices(r *core.Rule) []int {
+func (s *Engine) MatchIndices(r *core.Rule) []int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	locals := make([][]int, len(s.parts))
@@ -422,7 +291,7 @@ func (s *Shards) MatchIndices(r *core.Rule) []int {
 
 // match computes the shard-local live matched set: index lookup when
 // the shard index can answer, linear scan otherwise. Identical to the
-// evaluator's own two-path logic, just over the shard's patterns,
+// core.IndexBackend's two-path logic, just over the shard's patterns,
 // with tombstoned rows filtered out of either path's result.
 func (sh *shard) match(r *core.Rule) []int {
 	if out, ok := sh.idx.Lookup(r); ok {
@@ -469,7 +338,7 @@ func (sh *shard) matchInto(dst []int, r *core.Rule, sc *core.MatchScratch) []int
 // and swept in word order: O(k + n/64), independent of shard layout,
 // and deterministic for any parallelism. Returns nil when nothing
 // matched, staying interchangeable with the scan path.
-func (s *Shards) mergeMatchesLocked(locals [][]int) []int {
+func (s *Engine) mergeMatchesLocked(locals [][]int) []int {
 	total := 0
 	for _, l := range locals {
 		total += len(l)
@@ -491,7 +360,7 @@ func (s *Shards) mergeMatchesLocked(locals [][]int) []int {
 
 // allLiveLocked returns every live global index, ascending — the
 // all-wildcard answer. Callers hold mu (read or write).
-func (s *Shards) allLiveLocked() []int {
+func (s *Engine) allLiveLocked() []int {
 	n := s.data.Len()
 	live := n - s.deadTotal
 	if live == 0 {

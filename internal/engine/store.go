@@ -27,7 +27,7 @@ const DefaultCompactThreshold = 0.25
 // given stable id, or (nil, -1). Global arrays keep ids ascending and
 // each shard's global set ascending, so both lookups are binary
 // searches. Callers hold mu.
-func (s *Shards) locateLocked(id series.RowID) (*shard, int) {
+func (s *Engine) locateLocked(id series.RowID) (*shard, int) {
 	ids := s.data.IDs
 	g := sort.Search(len(ids), func(k int) bool { return ids[k] >= id })
 	if g == len(ids) || ids[g] != id {
@@ -43,9 +43,9 @@ func (s *Shards) locateLocked(id series.RowID) (*shard, int) {
 	return nil, -1
 }
 
-// deleteRows is the Delete implementation; the exported wrapper
-// (telemetry.go) adds the optional timing instrumentation.
-func (s *Shards) deleteRows(ids []series.RowID) int {
+// deleteRows is the Delete implementation; Delete (engine.go) adds the
+// telemetry and cache invalidation.
+func (s *Engine) deleteRows(ids []series.RowID) int {
 	if len(ids) == 0 {
 		return 0
 	}
@@ -65,9 +65,9 @@ func (s *Shards) deleteRows(ids []series.RowID) int {
 	return removed
 }
 
-// window is the Window implementation; the exported wrapper
-// (telemetry.go) adds the optional timing instrumentation.
-func (s *Shards) window(n int) int {
+// window is the Window implementation; Window (engine.go) adds the
+// telemetry and cache invalidation.
+func (s *Engine) window(n int) int {
 	if n < 0 {
 		n = 0
 	}
@@ -111,9 +111,9 @@ func (s *Shards) window(n int) int {
 	return evict
 }
 
-// compact is the Compact implementation; the exported wrapper
-// (telemetry.go) adds the optional timing instrumentation.
-func (s *Shards) compact() int {
+// compact is the Compact implementation; Compact (engine.go) adds the
+// telemetry and cache invalidation.
+func (s *Engine) compact() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var sel []int
@@ -136,7 +136,7 @@ func (s *Shards) compact() int {
 // and Window: compact every shard whose dead ratio crossed the
 // threshold, then rebalance if enabled. The caller already bumped the
 // epoch. Callers hold mu.
-func (s *Shards) maintainLocked() {
+func (s *Engine) maintainLocked() {
 	if s.compactThreshold >= 0 {
 		var sel []int
 		for i, sh := range s.parts {
@@ -160,7 +160,7 @@ func (s *Shards) maintainLocked() {
 // (insertion) order everywhere, so matched-set order — and with it
 // the floating-point accumulation order of every regression — is
 // preserved exactly. Callers hold mu.
-func (s *Shards) compactLocked(sel []int) int {
+func (s *Engine) compactLocked(sel []int) int {
 	removed := 0
 	for _, i := range sel {
 		removed += s.parts[i].deadN

@@ -1,21 +1,37 @@
 package engine
 
 import (
-	"context"
-
-	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/series"
 )
 
-// This file is the engine's telemetry seam. Instrument attaches an
-// obs.Registry; the public store verbs below are thin wrappers that
-// time the unexported implementations and refresh the lifecycle
-// gauges. With no registry attached (the default) each wrapper is one
-// nil check and a direct call — no closures, no defers, no
-// allocations — which is what keeps the uninstrumented hot path at
-// exactly the PR-6 baseline (see BenchmarkEngineBatchInstrumented and
-// TestMatchBatchZeroAllocDisabled).
+// This file is the engine's telemetry seam. Instrument (engine.go)
+// attaches an obs.Registry; the store verbs time their unexported
+// implementations through it and refresh the lifecycle gauges. With no
+// registry attached (the default) each verb pays nil checks and a
+// direct call — no closures, no defers, no allocations — which is what
+// keeps the uninstrumented hot path as cheap as a direct call (see
+// BenchmarkEngineBatchInstrumented and TestMatchBatchZeroAllocDisabled).
+
+// verb indexes the per-verb mutation latency histograms.
+type verb int
+
+const (
+	verbAppend verb = iota
+	verbDelete
+	verbWindow
+	verbCompact
+	verbRebalance
+	numVerbs
+)
+
+// verbMetrics names each verb's latency histogram, in verb order.
+var verbMetrics = [numVerbs]string{
+	"engine_append_ns",
+	"engine_delete_ns",
+	"engine_window_ns",
+	"engine_compact_ns",
+	"engine_rebalance_ns",
+}
 
 // telemetry bundles the engine's metric handles, pre-resolved at
 // Instrument time so hot paths never touch the registry's name map.
@@ -25,11 +41,7 @@ type telemetry struct {
 	batchNs    *obs.Histogram // MatchBatch wall time, ns
 	batchRules *obs.Histogram // rules served per MatchBatch call
 
-	appendNs    *obs.Histogram
-	deleteNs    *obs.Histogram
-	windowNs    *obs.Histogram
-	compactNs   *obs.Histogram
-	rebalanceNs *obs.Histogram
+	verbNs [numVerbs]*obs.Histogram // mutation wall time per verb, ns
 
 	mutations *obs.Counter // mutations that changed the store
 	epoch     *obs.Gauge   // current data epoch
@@ -41,42 +53,33 @@ func newTelemetry(reg *obs.Registry) *telemetry {
 	if reg == nil {
 		return nil
 	}
-	return &telemetry{
-		reg:         reg,
-		batchNs:     reg.Histogram("engine_matchbatch_ns"),
-		batchRules:  reg.Histogram("engine_matchbatch_rules"),
-		appendNs:    reg.Histogram("engine_append_ns"),
-		deleteNs:    reg.Histogram("engine_delete_ns"),
-		windowNs:    reg.Histogram("engine_window_ns"),
-		compactNs:   reg.Histogram("engine_compact_ns"),
-		rebalanceNs: reg.Histogram("engine_rebalance_ns"),
-		mutations:   reg.Counter("engine_mutations"),
-		epoch:       reg.Gauge("engine_epoch"),
-		liveRows:    reg.Gauge("engine_live_rows"),
-		liveSkew:    reg.Gauge("engine_live_skew"),
+	t := &telemetry{
+		reg:        reg,
+		batchNs:    reg.Histogram("engine_matchbatch_ns"),
+		batchRules: reg.Histogram("engine_matchbatch_rules"),
 	}
+	for v, name := range verbMetrics {
+		t.verbNs[v] = reg.Histogram(name)
+	}
+	t.mutations = reg.Counter("engine_mutations")
+	t.epoch = reg.Gauge("engine_epoch")
+	t.liveRows = reg.Gauge("engine_live_rows")
+	t.liveSkew = reg.Gauge("engine_live_skew")
+	return t
 }
 
-// Instrument attaches a metrics registry to the shard layer: MatchBatch
-// latency and batch sizes, per-verb mutation timings, and the
-// epoch/live-rows/skew gauges. Call it before the shards are shared
-// across goroutines (the field is written without the mutex, exactly
-// like the construction-time policy fields); nil detaches. Purely
-// observational — results are bit-identical instrumented or not.
-func (s *Shards) Instrument(reg *obs.Registry) { s.tel = newTelemetry(reg) }
-
-// Instrument attaches a metrics registry to the engine: the shard
-// layer's timings and gauges plus the shared cache's hit/miss/bypass
-// counters. Same before-sharing contract as Shards.Instrument.
-func (e *Engine) Instrument(reg *obs.Registry) {
-	e.Shards.Instrument(reg)
-	e.cache.Instrument(reg)
+// now is the registry clock, or 0 when telemetry is disabled.
+func (t *telemetry) now() int64 {
+	if t == nil {
+		return 0
+	}
+	return t.reg.Now()
 }
 
 // afterMutation refreshes the mutation-facing metrics. It runs after
 // the instrumented verb released the write lock, so the gauge reads
 // take the ordinary read-locked accessors.
-func (t *telemetry) afterMutation(s *Shards) {
+func (t *telemetry) afterMutation(s *Engine) {
 	t.mutations.Inc()
 	t.epoch.Set(float64(s.Epoch()))
 	t.liveRows.Set(float64(s.LiveLen()))
@@ -86,142 +89,4 @@ func (t *telemetry) afterMutation(s *Shards) {
 		skew = float64(hi) / float64(lo)
 	}
 	t.liveSkew.Set(skew)
-}
-
-// MatchBatch answers one whole generation of rules in a single
-// scheduling pass. Instead of per-rule dispatch it (1) computes each
-// rule's most selective lag once, by summing the per-shard candidate
-// ranges of every gene (the per-shard lookups reuse exactly these
-// ranges, so the pass costs nothing extra); (2) groups rules by that
-// lag and walks each shard index once per group — all rules of a
-// group probe the same sorted value/permutation arrays back to back,
-// which keeps those arrays hot in cache; (3) fans the groups out
-// across shards on separate goroutines and merges per-shard hits
-// through the global bitmap. out[i] corresponds to rules[i] and is
-// bit-identical to MatchIndices(rules[i]) — grouping and fan-out are
-// pure scheduling.
-//
-// The context bounds every parallel pass: once it is cancelled the
-// remaining scheduling work is skipped, all fan-out goroutines drain
-// before MatchBatch returns, and the result is incomplete — callers
-// must check ctx.Err() and discard it (core.Evaluator does).
-func (s *Shards) MatchBatch(ctx context.Context, rules []*core.Rule) [][]int {
-	t := s.tel
-	if t == nil {
-		return s.matchBatch(ctx, rules)
-	}
-	if t.reg.Tracing() {
-		// Child of whatever traced operation issued the batch: the
-		// client-side evaluation pass in-process, the RPC handler span
-		// on a shard server.
-		var sp *obs.Span
-		ctx, sp = t.reg.ChildSpanCtx(ctx, "engine.matchbatch")
-		defer sp.End()
-	}
-	start := t.reg.Now()
-	out := s.matchBatch(ctx, rules)
-	t.batchNs.Observe(t.reg.Now() - start)
-	t.batchRules.Observe(int64(len(rules)))
-	return out
-}
-
-// AppendRows is Append with caller-chosen stable ids — the remote
-// shard server's hook: a scatter/gather client owns the global RowID
-// space, so each server must adopt the ids its slice of a chunk was
-// assigned instead of numbering rows itself. ids must be strictly
-// ascending and greater than every id already in the store (the
-// invariant all mutations preserve); nil means number the rows
-// automatically, which is exactly Append.
-func (s *Shards) AppendRows(inputs [][]float64, targets []float64, ids []series.RowID) error {
-	t := s.tel
-	if t == nil {
-		return s.appendRows(inputs, targets, ids)
-	}
-	start := t.reg.Now()
-	if err := s.appendRows(inputs, targets, ids); err != nil {
-		return err
-	}
-	t.appendNs.Observe(t.reg.Now() - start)
-	t.afterMutation(s)
-	return nil
-}
-
-// Delete tombstones the rows with the given stable ids and returns
-// how many were live before the call. Unknown or already-dead ids are
-// ignored. Matched sets exclude the rows immediately; the epoch bump
-// expires every cached evaluation. Shards whose dead ratio crosses
-// the compaction threshold are compacted before Delete returns, and
-// when rebalancing is enabled the surviving layout is rebalanced.
-func (s *Shards) Delete(ids []series.RowID) int {
-	t := s.tel
-	if t == nil {
-		return s.deleteRows(ids)
-	}
-	start := t.reg.Now()
-	n := s.deleteRows(ids)
-	t.deleteNs.Observe(t.reg.Now() - start)
-	if n > 0 {
-		t.afterMutation(s)
-	}
-	return n
-}
-
-// Window keeps only the newest n live rows and tombstones every older
-// one — the sliding-window primitive — returning the number evicted.
-// "Newest" is insertion order (ascending RowID), so a stream that
-// appends chunks and calls Window(w) after each one trains on exactly
-// the trailing w patterns. Eviction triggers the same threshold
-// compaction and rebalancing as Delete.
-func (s *Shards) Window(n int) int {
-	t := s.tel
-	if t == nil {
-		return s.window(n)
-	}
-	start := t.reg.Now()
-	evicted := s.window(n)
-	t.windowNs.Observe(t.reg.Now() - start)
-	if evicted > 0 {
-		t.afterMutation(s)
-	}
-	return evicted
-}
-
-// Compact physically removes every tombstoned row: each shard holding
-// dead rows is rewritten live-only and its index rebuilt, and the
-// global dataset view shrinks in place (Data() keeps its pointer).
-// Untouched shards keep their indexes — only their global numbering
-// is remapped, an O(n) sweep that costs a fraction of one index
-// rebuild. Returns the number of rows reclaimed.
-func (s *Shards) Compact() int {
-	t := s.tel
-	if t == nil {
-		return s.compact()
-	}
-	start := t.reg.Now()
-	removed := s.compact()
-	t.compactNs.Observe(t.reg.Now() - start)
-	if removed > 0 {
-		t.afterMutation(s)
-	}
-	return removed
-}
-
-// Rebalance runs the split/merge policy until live shard sizes are
-// balanced (or a safety cap of steps is hit), returning the number of
-// split/merge steps taken. It is invoked automatically after
-// Append/Delete/Window/Compact when Options.Rebalance is set, and can
-// always be called explicitly. Each step rebuilds only the indexes of
-// the one or two shards it touches.
-func (s *Shards) Rebalance() int {
-	t := s.tel
-	if t == nil {
-		return s.rebalance()
-	}
-	start := t.reg.Now()
-	ops := s.rebalance()
-	t.rebalanceNs.Observe(t.reg.Now() - start)
-	if ops > 0 {
-		t.afterMutation(s)
-	}
-	return ops
 }

@@ -104,8 +104,8 @@ func TestMatchBatchDisabledZeroAllocs(t *testing.T) {
 	// collector so the pooled steady state is deterministic.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 
-	s := NewShards(ds, 1, 1) // serial: deterministic allocation counts
-	s.matchBatch(ctx, rules) // warm the scratch pools
+	s := New(ds, Options{Shards: 1, Workers: 1}) // serial: deterministic allocation counts
+	s.matchBatch(ctx, rules)                     // warm the scratch pools
 	direct := testing.AllocsPerRun(50, func() { s.matchBatch(ctx, rules) })
 	disabled := testing.AllocsPerRun(50, func() { s.MatchBatch(ctx, rules) })
 	if disabled != direct {

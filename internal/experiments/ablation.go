@@ -71,11 +71,11 @@ func Ablations(ctx context.Context, sc Scale, seed int64) (*AblationResult, erro
 	// distance and mutation knobs never enter an evaluation, so a
 	// conditional part scored under one variant is valid for all.
 	var eng *engine.Engine
-	var idx *core.MatchIndex
+	var local *core.IndexBackend
 	if sc.EngineShards > 0 {
 		eng = engine.New(train, sc.engineOptions())
 	} else {
-		idx = core.NewMatchIndex(train)
+		local = core.NewIndexBackend(train, 1) // serial, like MultiRun's executions
 	}
 	for _, v := range variants {
 		base := core.Default(train.D)
@@ -86,7 +86,7 @@ func Ablations(ctx context.Context, sc Scale, seed int64) (*AblationResult, erro
 		if eng != nil {
 			eng.Configure(&base)
 		} else {
-			base.Runtime.Index = idx
+			base.Runtime.Backend = local
 		}
 		v.mutate(&base)
 		mr, err := core.MultiRun(ctx, core.MultiRunConfig{

@@ -111,13 +111,9 @@ func Run(ctx context.Context, cfg Config, data *series.Dataset) (*Result, error)
 	src := rng.New(cfg.Seed)
 	// The set evaluator re-fits every rule of every individual each
 	// generation against the same dataset — exactly the workload the
-	// core's indexed match engine (and, when cfg.Backend is set, the
+	// core's indexed match backend (and, when cfg.Backend is set, the
 	// sharded batch engine) accelerates.
-	opt := core.EvalOptions{Backend: cfg.Backend, Cache: cfg.Cache}
-	if cfg.Backend == nil {
-		opt.Index = core.NewMatchIndex(data)
-	}
-	eval := newSetEvaluator(data, cfg.CoverWeight, opt)
+	eval := newSetEvaluator(data, cfg.CoverWeight, core.EvalOptions{Backend: cfg.Backend, Cache: cfg.Cache})
 
 	// Initial population: each individual draws its rules from the
 	// paper's stratified initializer (so sets start with full output
@@ -222,7 +218,7 @@ func newSetEvaluator(data *series.Dataset, coverWeight float64, opt core.EvalOpt
 	return &setEvaluator{
 		data:        data,
 		coverWeight: coverWeight,
-		ruleEval:    core.NewEvaluatorOpt(data, math.Inf(1), 0, 1e-8, 1, opt),
+		ruleEval:    core.NewEvaluator(data, math.Inf(1), 0, 1e-8, 1, opt),
 		span:        span,
 		lagLo:       lagLo,
 		lagHi:       lagHi,

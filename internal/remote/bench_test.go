@@ -61,7 +61,7 @@ func BenchmarkRemoteBatch(b *testing.B) {
 	if err := c.Load(context.Background(), ds); err != nil {
 		b.Fatal(err)
 	}
-	ev := core.NewEvaluatorOpt(c.Data(), 0.2, 0, 1e-8, 0,
+	ev := core.NewEvaluator(c.Data(), 0.2, 0, 1e-8, 0,
 		core.EvalOptions{Backend: c, Cache: c.Cache()})
 	rules := uncachedRules(core.InitStratified(ds, 16), b.N*remoteBenchBatch)
 	b.ResetTimer()

@@ -98,7 +98,7 @@ func TestCancelledRemoteBatchCachesNothing(t *testing.T) {
 	if err := c.Load(context.Background(), cloneDataset(ds)); err != nil {
 		t.Fatal(err)
 	}
-	ev := core.NewEvaluatorOpt(c.Data(), 0.5, 0, 1e-8, 2,
+	ev := core.NewEvaluator(c.Data(), 0.5, 0, 1e-8, 2,
 		core.EvalOptions{Backend: c, Cache: c.Cache()})
 
 	rules := randomRules(ds, 32, 3)
@@ -150,7 +150,7 @@ func TestDroppedServerSurfacesStickyError(t *testing.T) {
 	}
 	_ = out // incomplete by contract; the evaluator refuses it:
 
-	ev := core.NewEvaluatorOpt(c.Data(), 0.5, 0, 1e-8, 1,
+	ev := core.NewEvaluator(c.Data(), 0.5, 0, 1e-8, 1,
 		core.EvalOptions{Backend: c, Cache: c.Cache()})
 	if evErr := ev.EvaluateAll(context.Background(), cloneAll(rules)); !errors.Is(evErr, ErrTransport) {
 		t.Fatalf("EvaluateAll returned %v, want the wrapped transport failure", evErr)

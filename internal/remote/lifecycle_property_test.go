@@ -188,10 +188,10 @@ func checkTriEquivalence(t *testing.T, step string, c *Cluster, eng *engine.Engi
 	}
 
 	const emax, fmin, ridge = 0.7, 0.0, 1e-8
-	ref := core.NewEvaluator(m.dataset(), emax, fmin, ridge, 1)
+	ref := core.NewEvaluator(m.dataset(), emax, fmin, ridge, 1, core.EvalOptions{})
 	want := cloneAll(rules)
 	for _, r := range want {
-		ref.Evaluate(r)
+		ref.Evaluate(context.Background(), r)
 	}
 	gotBatch := cloneAll(rules)
 	if err := cev.EvaluateAll(context.Background(), gotBatch); err != nil {
@@ -202,7 +202,7 @@ func checkTriEquivalence(t *testing.T, step string, c *Cluster, eng *engine.Engi
 	}
 	gotSingle := cloneAll(rules)
 	for _, r := range gotSingle {
-		cev.Evaluate(r)
+		cev.Evaluate(context.Background(), r)
 	}
 	for i := range gotSingle {
 		requireIdentical(t, step+"/per-rule", i, gotSingle[i], want[i])
@@ -232,9 +232,9 @@ func driveRemoteLifecycle(t *testing.T, seed int64, n0, d, nanEvery, servers, sh
 	m := newNaiveStore(ds)
 
 	const emax, fmin, ridge = 0.7, 0.0, 1e-8
-	cev := core.NewEvaluatorOpt(c.Data(), emax, fmin, ridge, workers,
+	cev := core.NewEvaluator(c.Data(), emax, fmin, ridge, workers,
 		core.EvalOptions{Backend: c, Cache: c.Cache()})
-	if cev.Backend() == nil {
+	if cev.Backend() != core.Backend(c) {
 		t.Fatal("evaluator did not adopt the cluster")
 	}
 

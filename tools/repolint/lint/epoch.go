@@ -12,7 +12,7 @@ import (
 // survive the mutation — the exact bug class the composite-epoch
 // design exists to make impossible.
 var storeImpls = map[string][]string{
-	"internal/engine": {"Shards", "Engine"},
+	"internal/engine": {"Engine"},
 	"internal/remote": {"Cluster"},
 }
 

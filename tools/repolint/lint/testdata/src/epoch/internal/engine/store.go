@@ -10,36 +10,36 @@ func (c *counter) Add(d uint64) uint64 { c.v += d; return c.v }
 func (c *counter) Store(v uint64)      { c.v = v }
 func (c *counter) Load() uint64        { return c.v }
 
-// Shards matches a checked store implementation name.
-type Shards struct {
+// Engine matches a checked store implementation name.
+type Engine struct {
 	rows  []float64
 	epoch counter
 }
 
 // Append bumps directly.
-func (s *Shards) Append(v float64) {
+func (s *Engine) Append(v float64) {
 	s.rows = append(s.rows, v)
 	s.epoch.Add(1)
 }
 
 // Delete reaches the bump through a helper — the fixpoint must see it.
-func (s *Shards) Delete(i int) {
+func (s *Engine) Delete(i int) {
 	s.rows = append(s.rows[:i], s.rows[i+1:]...)
 	s.finishMutationLocked()
 }
 
-func (s *Shards) finishMutationLocked() { s.epoch.Store(s.epoch.Load() + 1) }
+func (s *Engine) finishMutationLocked() { s.epoch.Store(s.epoch.Load() + 1) }
 
 // Window forgets the bump entirely: a stale cached evaluation would
 // survive this mutation.
-func (s *Shards) Window(n int) { // want "Window mutates the store but never reaches an epoch bump"
+func (s *Engine) Window(n int) { // want "Window mutates the store but never reaches an epoch bump"
 	if n < len(s.rows) {
 		s.rows = s.rows[len(s.rows)-n:]
 	}
 }
 
 // Len is not a mutation verb; no bump required.
-func (s *Shards) Len() int { return len(s.rows) }
+func (s *Engine) Len() int { return len(s.rows) }
 
 // Other is not a checked type; its verbs are out of scope.
 type Other struct{ epoch counter }
