@@ -23,9 +23,11 @@
 // All speed machinery — worker counts, sharding, batching, shared
 // caches, sliding windows, rebalancing — is configured through options
 // and guaranteed not to change results: for a fixed seed the fitted
-// system is bit-identical at any parallelism, shard count or cache
-// configuration. Only the hyperparameter options (generations,
-// population, EMax, topology) affect what is learned.
+// system is bit-identical at any worker count, shard count or cache
+// configuration, and at any parallelism unless WithCoverageTarget
+// stops a multi-run early (see WithParallelism). Only the
+// hyperparameter options (generations, population, EMax, topology)
+// affect what is learned.
 package forecast
 
 import (
@@ -33,6 +35,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -86,10 +89,11 @@ type StoreStats struct {
 	CacheMisses int    // shared-cache misses (cumulative)
 }
 
-// ErrData wraps training-data failures reported by Fit (empty
-// dataset, a sliding window that leaves nothing to train on) so
-// facade consumers can errors.Is-match them without reaching into
-// internal packages.
+// ErrData wraps training-data failures reported by Fit and Append
+// (an empty dataset, inputs and targets of different lengths, a row
+// whose width is not D, a NaN or ±Inf input or target, a sliding
+// window that leaves nothing to train on) so facade consumers can
+// errors.Is-match them without reaching into internal packages.
 var ErrData = errors.New("forecast: invalid training data")
 
 // ErrNotFitted is returned by methods that need a trained system
@@ -169,10 +173,14 @@ func New(opts ...Option) (*Forecaster, error) {
 // generation, installs the best-so-far system (every completed
 // execution's rules plus whatever the in-flight ones had evolved) and
 // returns ctx.Err(). Configuration and data errors leave the previous
-// fit untouched.
+// fit untouched; malformed or non-finite rows are rejected with
+// ErrData before any store is built.
 func (f *Forecaster) Fit(ctx context.Context, ds *Dataset) error {
 	if ds == nil || ds.Len() == 0 {
 		return fmt.Errorf("%w: Fit needs a non-empty dataset", ErrData)
+	}
+	if err := checkRows(ds.Inputs, ds.Targets, ds.D); err != nil {
+		return err
 	}
 	if f.s.horizon != 0 && f.s.horizon != ds.Horizon {
 		return fmt.Errorf("%w: WithHorizon(%d) does not match the dataset's horizon %d",
@@ -407,13 +415,18 @@ func (f *Forecaster) Refit(ctx context.Context) error {
 // holds is evicted and compacted away, and the system refits — with
 // WithSharedCache every evaluation still valid for the new window is
 // reused. Requires WithEngine. Same cancellation contract as Fit; the
-// data mutation itself is not rolled back on cancellation.
+// data mutation itself is not rolled back on cancellation. Malformed
+// or non-finite rows are rejected with ErrData before the store
+// changes.
 func (f *Forecaster) Append(ctx context.Context, inputs [][]float64, targets []float64) error {
 	if f.eng == nil {
 		if f.data == nil {
 			return ErrNotFitted
 		}
 		return ErrNoEngine
+	}
+	if err := checkRows(inputs, targets, f.data.D); err != nil {
+		return err
 	}
 	if err := f.eng.Append(inputs, targets); err != nil {
 		return err
@@ -425,6 +438,30 @@ func (f *Forecaster) Append(ctx context.Context, inputs [][]float64, targets []f
 	f.data = f.eng.Data()
 	f.trace("append", map[string]any{"rows": len(inputs), "live": f.eng.LiveLen()})
 	return f.Refit(ctx)
+}
+
+// checkRows reports the first malformed training row, wrapped in
+// ErrData: inputs and targets of different lengths, a row whose width
+// is not d, or a NaN or ±Inf input or target. Such a row would panic
+// the matcher or fit a consequent to garbage. One O(n·D) pass.
+func checkRows(inputs [][]float64, targets []float64, d int) error {
+	if len(inputs) != len(targets) {
+		return fmt.Errorf("%w: %d input rows but %d targets", ErrData, len(inputs), len(targets))
+	}
+	for i, row := range inputs {
+		if len(row) != d {
+			return fmt.Errorf("%w: row %d has width %d, want D=%d", ErrData, i, len(row), d)
+		}
+		for _, v := range row {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("%w: row %d has a non-finite input %v", ErrData, i, v)
+			}
+		}
+		if v := targets[i]; math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("%w: row %d has a non-finite target %v", ErrData, i, v)
+		}
+	}
+	return nil
 }
 
 // Evict expires the oldest n live training patterns (tombstoned, then

@@ -133,9 +133,11 @@ func WithWorkers(n int) Option {
 }
 
 // WithParallelism bounds how many executions (multi-run) or islands
-// evolve concurrently (0, the default, means GOMAXPROCS). A pure
-// speed knob: seeds are split deterministically, so results are
-// identical for any parallelism degree.
+// evolve concurrently (0, the default, means GOMAXPROCS). Seeds are
+// split deterministically, so results are identical for any
+// parallelism degree — except with WithCoverageTarget: executions run
+// in waves of n and the target is checked after each wave, so a
+// multi-run that stops early may keep more executions at a larger n.
 func WithParallelism(n int) Option {
 	return func(s *settings) error {
 		if n < 0 {

@@ -77,9 +77,13 @@ func (b *IndexBackend) Data() *series.Dataset { return b.ix.data }
 func (b *IndexBackend) Epoch() uint64 { return 0 }
 
 // MatchIndices answers from the index when it can beat a scan and
-// scans otherwise; both paths return identical results.
+// scans otherwise; both paths return identical results (nil when
+// nothing matches). The index answer is one exact-size allocation,
+// verified through pooled scratch.
 func (b *IndexBackend) MatchIndices(r *Rule) []int {
-	if out, ok := b.ix.Lookup(r); ok {
+	sc := GetMatchScratch()
+	defer PutMatchScratch(sc)
+	if out, ok := b.ix.LookupInto(nil, r, sc); ok {
 		return out
 	}
 	return scanMatches(b.ix.data, r, b.workers)

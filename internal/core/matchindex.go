@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -25,7 +26,8 @@ import (
 // concurrent use; it can be shared across every Evaluator, Execution,
 // island and experiment run over the same dataset. The sharded
 // evaluation engine (internal/engine) builds one MatchIndex per shard
-// and drives it through the exported GeneRange/CollectWithin pair.
+// and drives it through the exported GeneRange, CollectWithinInto and
+// LookupInto.
 type MatchIndex struct {
 	data *series.Dataset
 	cols *series.Columns // column-major snapshot; verification scans these
@@ -123,9 +125,9 @@ type MatchScratch struct {
 	words []uint64
 }
 
-// matchScratchPool recycles scratch across the per-rule entry points
-// (CollectWithin, Lookup); the sharded engine holds one MatchScratch
-// per shard walk instead, via GetMatchScratch/PutMatchScratch.
+// matchScratchPool recycles scratch across IndexBackend.MatchIndices
+// calls; the sharded engine holds one MatchScratch per shard walk
+// instead, in its own pooled per-shard state.
 var matchScratchPool = sync.Pool{New: func() any { return new(MatchScratch) }}
 
 // GetMatchScratch returns a pooled MatchScratch ready for use.
@@ -208,17 +210,20 @@ func appendOrdered(dst []int, cand []int32, n int, sc *MatchScratch) []int {
 			wmax = w
 		}
 	}
+	return SweepClearBits(dst, words, wmin, wmax)
+}
+
+// SweepClearBits appends the position of every set bit in
+// words[wmin..wmax] to dst in ascending order, zeroing each word as it
+// is swept — the ordered read-out of a pooled bitmap that must be
+// all-zero again afterwards. It is shared by the index's candidate
+// sweep and the sharded engine's per-rule merge. O(k + wmax-wmin) for
+// k set bits; an empty range (wmax < wmin) appends nothing.
+func SweepClearBits(dst []int, words []uint64, wmin, wmax int) []int {
 	for w := wmin; w <= wmax; w++ {
-		word := words[w]
-		if word == 0 {
-			continue
-		}
-		words[w] = 0
-		base := w << 6
-		for word != 0 {
-			b := bits.TrailingZeros64(word)
-			dst = append(dst, base+b)
-			word &^= 1 << b
+		if word := words[w]; word != 0 {
+			words[w] = 0
+			dst = appendWordBits(dst, w, word)
 		}
 	}
 	return dst
@@ -255,52 +260,38 @@ func searchGT(vals []float64, x float64) int {
 	return lo
 }
 
-// CollectWithin verifies the candidates perm[j][lo:hi] against the
-// full rule and returns the matching pattern indices in ascending
-// order (nil when none match). Candidates arrive in value order, but
-// callers (and the naive scan this must stay interchangeable with)
-// expect ascending index order; the bitmap sweep restores it in
-// O(k + n/64) — far cheaper than sorting. Exported for the sharded
-// engine, which walks one shard index per rule group with a
-// precomputed range.
-func (ix *MatchIndex) CollectWithin(j, lo, hi int, r *Rule) []int {
-	sc := GetMatchScratch()
-	cand := ix.filterCandidates(j, lo, hi, r, sc)
-	var out []int
-	if len(cand) > 0 {
-		out = appendOrdered(make([]int, 0, len(cand)), cand, len(ix.data.Targets), sc)
-	}
-	PutMatchScratch(sc)
-	return out
-}
-
-// CollectWithinInto is CollectWithin appending into dst using
-// caller-owned scratch — the zero-allocation form the sharded
-// engine's batch walk drives with its per-shard arena.
+// CollectWithinInto verifies the candidates perm[j][lo:hi] against
+// the full rule and appends the matching pattern indices to dst in
+// ascending order, using caller-owned scratch. Candidates arrive in
+// value order, but callers (and the naive scan this must stay
+// interchangeable with) expect ascending index order; the bitmap sweep
+// restores it in O(k + touched-words), far cheaper than sorting.
+// dst grows at most once, by the verified candidate count, so a nil
+// dst comes back exact-size. Exported for the sharded engine, which
+// walks one shard index per rule group with a precomputed range.
 func (ix *MatchIndex) CollectWithinInto(dst []int, j, lo, hi int, r *Rule, sc *MatchScratch) []int {
 	cand := ix.filterCandidates(j, lo, hi, r, sc)
 	if len(cand) == 0 {
 		return dst
 	}
-	return appendOrdered(dst, cand, len(ix.data.Targets), sc)
+	return appendOrdered(slices.Grow(dst, len(cand)), cand, len(ix.data.Targets), sc)
 }
 
 // AppendSetBits appends the position of every set bit in words to out
-// in ascending order — the bitmap→ordered-indices sweep shared by
-// CollectWithin and the sharded engine's result merge. O(k + n/64)
-// for k set bits over an n-bit bitmap.
+// in ascending order, leaving words unchanged — the read-out of a
+// freshly built bitmap (the engine's live-row enumeration, the remote
+// cluster's merge). O(k + n/64) for k set bits over an n-bit bitmap.
 func AppendSetBits(out []int, words []uint64) []int {
 	for w, word := range words {
-		out = AppendWordBits(out, w, word)
+		out = appendWordBits(out, w, word)
 	}
 	return out
 }
 
-// AppendWordBits appends the positions of word's set bits, offset by
-// w<<6, to out in ascending order — the single-word step of
-// AppendSetBits, exported for the sharded engine's pooled
-// sweep-and-clear merge.
-func AppendWordBits(out []int, w int, word uint64) []int {
+// appendWordBits appends the positions of word's set bits, offset by
+// w<<6, to out in ascending order — the single-word step of both
+// bitmap sweeps.
+func appendWordBits(out []int, w int, word uint64) []int {
 	base := w << 6
 	for word != 0 {
 		b := bits.TrailingZeros64(word)
@@ -335,42 +326,12 @@ func (ix *MatchIndex) bestGene(r *Rule) (dim, lo, hi int, ok bool) {
 	return dim, lo, hi, true
 }
 
-// Lookup returns the rule's matched pattern indices in ascending
-// order. ok=false means no gene is selective enough for the index to
-// beat a linear scan (or the data/bounds are NaN-degenerate); the
-// caller should fall back to scanning. Both paths return identical
-// results, so the choice never affects outcomes.
-func (ix *MatchIndex) Lookup(r *Rule) (out []int, ok bool) {
-	bestDim, bestLo, bestHi, ok := ix.bestGene(r)
-	if !ok {
-		return nil, false
-	}
-	n := len(ix.data.Targets)
-	if bestDim == -1 {
-		// All-wildcard rule: every pattern matches.
-		out = make([]int, n)
-		for i := range out {
-			out[i] = i
-		}
-		return out, true
-	}
-	if bestHi == bestLo {
-		return nil, true
-	}
-	// When even the most selective gene admits over half the dataset,
-	// candidate verification plus the final sort costs about as much
-	// as the straight scan, which also visits indices in order for
-	// free — let the caller scan.
-	if (bestHi-bestLo)*2 > n {
-		return nil, false
-	}
-	return ix.CollectWithin(bestDim, bestLo, bestHi, r), true
-}
-
-// LookupInto is Lookup appending into dst using caller-owned scratch.
-// ok has Lookup's meaning; on the fallback answer (ok=false) dst is
-// returned unchanged. Used by the sharded engine's batch walk so even
-// a shard's per-rule fallback lands in its arena.
+// LookupInto appends the rule's matched pattern indices to dst in
+// ascending order, using caller-owned scratch. ok=false means no gene
+// is selective enough for the index to beat a linear scan (or the
+// data/bounds are NaN-degenerate): dst is returned unchanged and the
+// caller should scan instead. Both paths return identical results, so
+// the choice never affects outcomes.
 func (ix *MatchIndex) LookupInto(dst []int, r *Rule, sc *MatchScratch) (out []int, ok bool) {
 	bestDim, bestLo, bestHi, ok := ix.bestGene(r)
 	if !ok {
@@ -378,6 +339,7 @@ func (ix *MatchIndex) LookupInto(dst []int, r *Rule, sc *MatchScratch) (out []in
 	}
 	n := len(ix.data.Targets)
 	if bestDim == -1 {
+		dst = slices.Grow(dst, n)
 		for i := 0; i < n; i++ {
 			dst = append(dst, i)
 		}
@@ -386,6 +348,10 @@ func (ix *MatchIndex) LookupInto(dst []int, r *Rule, sc *MatchScratch) (out []in
 	if bestHi == bestLo {
 		return dst, true
 	}
+	// When even the most selective gene admits over half the dataset,
+	// candidate verification plus the ordering sweep costs about as
+	// much as the straight scan, which also visits indices in order for
+	// free — let the caller scan.
 	if (bestHi-bestLo)*2 > n {
 		return dst, false
 	}

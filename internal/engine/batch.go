@@ -1,8 +1,8 @@
 package engine
 
 import (
-	"context"
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 
 	"repro/internal/core"
@@ -41,9 +41,12 @@ type mergeScratch struct {
 
 var mergeScratchPool = sync.Pool{New: func() any { return new(mergeScratch) }}
 
-// matchBatch is the MatchBatch implementation; MatchBatch (engine.go)
-// adds the optional latency/size instrumentation.
-func (s *Engine) matchBatch(ctx context.Context, rules []*core.Rule) [][]int {
+// matchBatch is the one match kernel behind both MatchBatch and
+// MatchIndices (a batch of one); MatchBatch (engine.go) adds the
+// optional latency/size instrumentation. Once stop is closed the
+// remaining work is skipped and the result is incomplete; a nil stop
+// (the single-rule path, which has no context) never closes.
+func (s *Engine) matchBatch(stop <-chan struct{}, rules []*core.Rule) [][]int {
 	out := make([][]int, len(rules))
 	if len(rules) == 0 {
 		return out
@@ -51,11 +54,16 @@ func (s *Engine) matchBatch(ctx context.Context, rules []*core.Rule) [][]int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 
-	// Scheduling pass: aggregate per-gene selectivity across shards.
+	// Scheduling pass: aggregate per-gene selectivity across shards. A
+	// lone rule has nothing to group with, so it skips the pass and
+	// every shard picks its own most selective lag (dim -1) — cheaper
+	// for the steady-state step, and the same matched set either way.
 	plans := make([]batchPlan, len(rules))
-	if parallel.ForCtx(ctx, len(rules), s.workers, func(w int) {
+	if len(rules) == 1 {
+		plans[0].dim = -1
+	} else if parallel.ForDone(stop, len(rules), s.workers, func(w int) {
 		plans[w] = s.planLocked(rules[w])
-	}) != nil {
+	}) {
 		return out
 	}
 
@@ -67,12 +75,12 @@ func (s *Engine) matchBatch(ctx context.Context, rules []*core.Rule) [][]int {
 			order = append(order, w)
 		}
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return plans[order[a]].dim < plans[order[b]].dim
+	slices.SortStableFunc(order, func(a, b int) int {
+		return cmp.Compare(plans[a].dim, plans[b].dim)
 	})
 
 	// Shard-major walk: each shard serves every group in lag order,
-	// appending results into its pooled arena and checking the context
+	// appending results into its pooled arena and checking stop
 	// between rules so a cancelled run abandons the walk mid-shard
 	// instead of finishing the generation.
 	locals := make([][][]int, len(s.parts))
@@ -84,7 +92,7 @@ func (s *Engine) matchBatch(ctx context.Context, rules []*core.Rule) [][]int {
 			}
 		}
 	}()
-	if parallel.ForCtx(ctx, len(s.parts), s.workers, func(si int) {
+	if parallel.ForDone(stop, len(s.parts), s.workers, func(si int) {
 		sh := s.parts[si]
 		p := shardPassPool.Get().(*shardPass)
 		passes[si] = p
@@ -99,7 +107,7 @@ func (s *Engine) matchBatch(ctx context.Context, rules []*core.Rule) [][]int {
 		}
 		arena := p.arena[:0]
 		for _, w := range order {
-			if ctx.Err() != nil {
+			if parallel.Closed(stop) {
 				break
 			}
 			start := len(arena)
@@ -112,7 +120,7 @@ func (s *Engine) matchBatch(ctx context.Context, rules []*core.Rule) [][]int {
 		}
 		p.mine, p.arena = mine, arena
 		locals[si] = mine
-	}) != nil {
+	}) {
 		return out
 	}
 
@@ -141,7 +149,7 @@ func (s *Engine) matchBatch(ctx context.Context, rules []*core.Rule) [][]int {
 		offs[w+1] = offs[w] + t
 	}
 	flat := make([]int, offs[len(rules)])
-	parallel.ForCtx(ctx, len(rules), s.workers, func(w int) {
+	parallel.ForDone(stop, len(rules), s.workers, func(w int) {
 		if offs[w+1] == offs[w] {
 			return // nothing matched: out[w] stays nil, like the scan path
 		}
@@ -162,7 +170,7 @@ func (s *Engine) matchBatch(ctx context.Context, rules []*core.Rule) [][]int {
 // ascending by global index. Shard index sets are disjoint but —
 // after appends — interleaved, so hits are collected in the pooled
 // bitmap over global indices and the touched word range is swept in
-// order (clearing as it goes, restoring the scratch's all-zero
+// order by core.SweepClearBits (restoring the scratch's all-zero
 // invariant): O(k + touched-words), independent of shard layout, and
 // deterministic for any parallelism.
 func (s *Engine) mergeIntoLocked(dst []int, locals [][][]int, w int, ms *mergeScratch) []int {
@@ -190,15 +198,7 @@ func (s *Engine) mergeIntoLocked(dst []int, locals [][][]int, w int, ms *mergeSc
 			}
 		}
 	}
-	for wd := wmin; wd <= wmax; wd++ {
-		word := words[wd]
-		if word == 0 {
-			continue
-		}
-		words[wd] = 0
-		dst = core.AppendWordBits(dst, wd, word)
-	}
-	return dst
+	return core.SweepClearBits(dst, words, wmin, wmax)
 }
 
 // planLocked finds the rule's batch-global most selective lag: the

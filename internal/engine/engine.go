@@ -221,6 +221,18 @@ func (s *Engine) Instrument(reg *obs.Registry) {
 	s.cache.Instrument(reg)
 }
 
+// MatchIndices returns the rule's matched live pattern indices over
+// the full dataset, ascending — exactly what the sequential
+// single-index path over the live rows returns. It is the batch
+// kernel over a batch of one: each shard answers from its own index
+// (or a shard-local scan when the index cannot beat one) into its
+// pooled arena, and the hits merge through the pooled global bitmap.
+// It takes no context, so it is not cancellable, and it does not feed
+// the MatchBatch histograms, which count only real batches.
+func (s *Engine) MatchIndices(r *core.Rule) []int {
+	return s.matchBatch(nil, []*core.Rule{r})[0]
+}
+
 // MatchBatch answers one whole generation of rules in a single
 // scheduling pass. Instead of per-rule dispatch it (1) computes each
 // rule's most selective lag once, by summing the per-shard candidate
@@ -241,7 +253,7 @@ func (s *Engine) Instrument(reg *obs.Registry) {
 func (s *Engine) MatchBatch(ctx context.Context, rules []*core.Rule) [][]int {
 	t := s.tel
 	if t == nil {
-		return s.matchBatch(ctx, rules)
+		return s.matchBatch(ctx.Done(), rules)
 	}
 	if t.reg.Tracing() {
 		// Child of whatever traced operation issued the batch: the
@@ -252,7 +264,7 @@ func (s *Engine) MatchBatch(ctx context.Context, rules []*core.Rule) [][]int {
 		defer sp.End()
 	}
 	start := t.reg.Now()
-	out := s.matchBatch(ctx, rules)
+	out := s.matchBatch(ctx.Done(), rules)
 	t.batchNs.Observe(t.reg.Now() - start)
 	t.batchRules.Observe(int64(len(rules)))
 	return out

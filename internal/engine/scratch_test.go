@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -44,6 +45,41 @@ func TestMatchBatchResultsCallerOwned(t *testing.T) {
 		if !intsEqual(second[i], want[i]) {
 			t.Fatalf("rule %d: results after scribble+churn diverged from the scan — pooled scratch escaped into a caller-visible slice", i)
 		}
+	}
+}
+
+// TestMatchIndicesConcurrentCallerOwned: single-rule matches issued
+// from several goroutines at once share the pooled scratch of the
+// engine's batch kernel and of core's IndexBackend. Every answer must
+// equal the scan, nil for nil, and stay the caller's to scribble over.
+func TestMatchIndicesConcurrentCallerOwned(t *testing.T) {
+	ds := testDataset(t, 300, 4, false)
+	rules := randomRules(ds, 24, 3)
+	ref := core.NewEvaluator(ds, 1, 0, 1e-8, 1, core.EvalOptions{})
+	want := make([][]int, len(rules))
+	for i, r := range rules {
+		want[i] = ref.MatchIndicesScan(r)
+	}
+	for _, b := range []core.Backend{New(ds, Options{Shards: 4}), core.NewIndexBackend(ds, 0)} {
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for k := 0; k < 60; k++ {
+					i := (g*7 + k) % len(rules)
+					got := b.MatchIndices(rules[i])
+					if !intsEqual(got, want[i]) || (got == nil) != (want[i] == nil) {
+						t.Errorf("%T rule %d: MatchIndices %v, scan %v", b, i, got, want[i])
+						return
+					}
+					for j := range got {
+						got[j] = -12345
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
 	}
 }
 

@@ -23,7 +23,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
-	"repro/internal/parallel"
 	"repro/internal/series"
 )
 
@@ -67,23 +66,10 @@ func (sh *shard) markDead(li int) bool {
 	return true
 }
 
-// filterLive drops tombstoned rows from an ascending local matched
-// set, in place. Returns nil when nothing survives, staying
-// interchangeable with the scan path.
-func (sh *shard) filterLive(out []int) []int {
-	if sh.deadN == 0 || len(out) == 0 {
-		return out
-	}
-	out = sh.filterLiveFrom(out, 0)
-	if len(out) == 0 {
-		return nil
-	}
-	return out
-}
-
-// filterLiveFrom is filterLive over the tail segment dst[start:] —
-// the arena form: earlier rules' results in dst[:start] are left
-// untouched and the compacted slice is returned truncated.
+// filterLiveFrom drops tombstoned rows from the ascending local
+// matched set in the tail segment dst[start:], in place: earlier
+// rules' results in dst[:start] are left untouched and the compacted
+// slice is returned truncated.
 func (sh *shard) filterLiveFrom(dst []int, start int) []int {
 	if sh.deadN == 0 || len(dst) == start {
 		return dst
@@ -273,41 +259,10 @@ func (s *Engine) appendRows(inputs [][]float64, targets []float64, ids []series.
 	return nil
 }
 
-// MatchIndices returns the rule's matched live pattern indices over
-// the full dataset, ascending — exactly what the sequential
-// single-index path over the live rows returns. The query fans out
-// across shards (each answered by its own index, falling back to a
-// shard-local scan when the index cannot beat one) and the per-shard
-// hits are merged through a global bitmap.
-func (s *Engine) MatchIndices(r *core.Rule) []int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	locals := make([][]int, len(s.parts))
-	parallel.For(len(s.parts), s.workers, func(i int) {
-		locals[i] = s.parts[i].match(r)
-	})
-	return s.mergeMatchesLocked(locals)
-}
-
-// match computes the shard-local live matched set: index lookup when
-// the shard index can answer, linear scan otherwise. Identical to the
-// core.IndexBackend's two-path logic, just over the shard's patterns,
-// with tombstoned rows filtered out of either path's result.
-func (sh *shard) match(r *core.Rule) []int {
-	if out, ok := sh.idx.Lookup(r); ok {
-		sh.cost.Add(int64(len(out)) + 1)
-		return sh.filterLive(out)
-	}
-	return sh.scan(r)
-}
-
-// scan is the shard-local reference path (the shards already provide
-// the parallelism, so it stays serial). Tombstoned rows are skipped.
-func (sh *shard) scan(r *core.Rule) []int {
-	return sh.scanInto(nil, r)
-}
-
-// scanInto is scan appending into the per-shard arena.
+// scanInto appends the shard-local live matched set to the per-shard
+// arena by a linear scan — the reference path (the shards already
+// provide the parallelism, so it stays serial). Tombstoned rows are
+// skipped.
 func (sh *shard) scanInto(dst []int, r *core.Rule) []int {
 	sh.cost.Add(int64(sh.data.Len()) + 1)
 	for i, row := range sh.data.Inputs {
@@ -321,8 +276,11 @@ func (sh *shard) scanInto(dst []int, r *core.Rule) []int {
 	return dst
 }
 
-// matchInto is match appending into the per-shard arena, with the
-// index's candidate scratch caller-owned.
+// matchInto appends the shard-local live matched set to the per-shard
+// arena: index lookup (on the shard's own most selective lag) when
+// the shard index can answer, linear scan otherwise — core's
+// IndexBackend two-path logic over the shard's patterns, with
+// tombstoned rows filtered out of either path's result.
 func (sh *shard) matchInto(dst []int, r *core.Rule, sc *core.MatchScratch) []int {
 	start := len(dst)
 	if out, ok := sh.idx.LookupInto(dst, r, sc); ok {
@@ -330,32 +288,6 @@ func (sh *shard) matchInto(dst []int, r *core.Rule, sc *core.MatchScratch) []int
 		return sh.filterLiveFrom(out, start)
 	}
 	return sh.scanInto(dst, r)
-}
-
-// mergeMatchesLocked unions per-shard local matches into one ascending global
-// result. Shard index sets are disjoint but — after appends —
-// interleaved, so hits are collected in a bitmap over global indices
-// and swept in word order: O(k + n/64), independent of shard layout,
-// and deterministic for any parallelism. Returns nil when nothing
-// matched, staying interchangeable with the scan path.
-func (s *Engine) mergeMatchesLocked(locals [][]int) []int {
-	total := 0
-	for _, l := range locals {
-		total += len(l)
-	}
-	if total == 0 {
-		return nil
-	}
-	n := s.data.Len()
-	words := make([]uint64, (n+63)>>6)
-	for si, l := range locals {
-		g := s.parts[si].global
-		for _, li := range l {
-			gi := g[li]
-			words[gi>>6] |= 1 << (uint(gi) & 63)
-		}
-	}
-	return core.AppendSetBits(make([]int, 0, total), words)
 }
 
 // allLiveLocked returns every live global index, ascending — the

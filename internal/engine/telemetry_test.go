@@ -105,8 +105,8 @@ func TestMatchBatchDisabledZeroAllocs(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 
 	s := New(ds, Options{Shards: 1, Workers: 1}) // serial: deterministic allocation counts
-	s.matchBatch(ctx, rules)                     // warm the scratch pools
-	direct := testing.AllocsPerRun(50, func() { s.matchBatch(ctx, rules) })
+	s.matchBatch(ctx.Done(), rules)              // warm the scratch pools
+	direct := testing.AllocsPerRun(50, func() { s.matchBatch(ctx.Done(), rules) })
 	disabled := testing.AllocsPerRun(50, func() { s.MatchBatch(ctx, rules) })
 	if disabled != direct {
 		t.Fatalf("disabled telemetry wrapper allocates %v/op, raw path %v/op", disabled, direct)

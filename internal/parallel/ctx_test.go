@@ -62,3 +62,20 @@ func TestForCtxStopsEarlyAndDrainsWorkers(t *testing.T) {
 	}
 	t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
 }
+
+// TestForDone: a nil done never stops the loop, a closed one runs
+// nothing, and the result reports which happened.
+func TestForDone(t *testing.T) {
+	closed := make(chan struct{})
+	close(closed)
+	for _, workers := range []int{1, 4} {
+		var ran atomic.Int64
+		if ForDone(nil, 100, workers, func(int) { ran.Add(1) }) || ran.Load() != 100 {
+			t.Fatalf("workers=%d, nil done: %d iterations ran", workers, ran.Load())
+		}
+		ran.Store(0)
+		if !ForDone(closed, 100, workers, func(int) { ran.Add(1) }) || ran.Load() != 0 {
+			t.Fatalf("workers=%d, closed done: %d iterations ran", workers, ran.Load())
+		}
+	}
+}

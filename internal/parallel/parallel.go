@@ -66,23 +66,28 @@ func For(n, workers int, fn func(i int)) {
 // (results computed by iterations that DID run are complete and
 // deterministic as usual).
 func ForCtx(ctx context.Context, n, workers int, fn func(i int)) error {
+	ForDone(ctx.Done(), n, workers, fn)
+	return ctx.Err()
+}
+
+// ForDone is ForCtx over a bare done channel, for a caller that holds
+// a stop signal rather than a context; a nil done never closes. It
+// reports whether done was closed by the time every worker returned,
+// in which case the outputs are incomplete.
+func ForDone(done <-chan struct{}, n, workers int, fn func(i int)) bool {
 	if n <= 0 {
-		return ctx.Err()
+		return Closed(done)
 	}
 	w := Workers(workers)
 	if w > n {
 		w = n
 	}
 	if w == 1 {
-		for i := 0; i < n; i++ {
-			if ctx.Err() != nil {
-				break
-			}
+		for i := 0; i < n && !Closed(done); i++ {
 			fn(i)
 		}
-		return ctx.Err()
+		return Closed(done)
 	}
-	done := ctx.Done()
 	var wg sync.WaitGroup
 	chunk := (n + w - 1) / w
 	for start := 0; start < n; start += chunk {
@@ -93,18 +98,23 @@ func ForCtx(ctx context.Context, n, workers int, fn func(i int)) error {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				select {
-				case <-done:
-					return
-				default:
-				}
+			for i := lo; i < hi && !Closed(done); i++ {
 				fn(i)
 			}
 		}(start, end)
 	}
 	wg.Wait()
-	return ctx.Err()
+	return Closed(done)
+}
+
+// Closed reports whether done is closed; a nil done never is.
+func Closed(done <-chan struct{}) bool {
+	select {
+	case <-done:
+		return true
+	default:
+		return false
+	}
 }
 
 // Fold computes a parallel reduction over [0,n). Each worker folds its

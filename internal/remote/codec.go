@@ -60,6 +60,14 @@ const protoVersion = 2
 // corrupt length prefix from allocating unbounded memory.
 const maxFrame = 1 << 28
 
+// maxWidth bounds the row width (the dataset's D) a frame may declare.
+// A store of width D costs O(D) per shard however few rows it holds,
+// and a zero-row block carries its width as a bare number, so without
+// the bound a few-byte Reset frame could make the server allocate
+// without limit. 2^16 lags is far beyond any embedding a rule system
+// is trained on.
+const maxWidth = 1 << 16
+
 // Opcodes. A request frame is the opcode followed by its body; the
 // response echoes the opcode (or answers opError with a message).
 const (
@@ -291,8 +299,8 @@ func (d *dec) rows(width int) (inputs [][]float64, targets []float64, ids []seri
 	if d.err != nil {
 		return nil, nil, nil
 	}
-	if width < 0 {
-		d.fail("negative row width %d", width)
+	if width < 0 || width > maxWidth {
+		d.fail("row width %d outside [0, %d]", width, maxWidth)
 		return nil, nil, nil
 	}
 	if n > 0 {

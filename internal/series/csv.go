@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 )
@@ -25,7 +26,9 @@ func WriteCSV(w io.Writer, s *Series) error {
 }
 
 // ReadCSV reads a series written by WriteCSV (or any CSV whose last
-// column is the value and whose first row is a header).
+// column is the value and whose first row is a header). A value that
+// does not parse, or parses to NaN or ±Inf, is an error naming its
+// row.
 func ReadCSV(r io.Reader) (*Series, error) {
 	cr := csv.NewReader(r)
 	rows, err := cr.ReadAll()
@@ -47,6 +50,9 @@ func ReadCSV(r io.Reader) (*Series, error) {
 		v, err := strconv.ParseFloat(row[len(row)-1], 64)
 		if err != nil {
 			return nil, fmt.Errorf("series: CSV row %d: %w", i+2, err)
+		}
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("series: CSV row %d: non-finite value %q", i+2, row[len(row)-1])
 		}
 		values = append(values, v)
 	}
