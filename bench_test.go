@@ -605,6 +605,9 @@ func BenchmarkRebalanceSkewOff(b *testing.B) { benchRebalanceSkew(b, false) }
 
 // BenchmarkGenerationStep measures one steady-state generation
 // (selection, crossover, mutation, evaluation, crowding replacement).
+// Untimed warm-up steps fill the scratch pools and move the population
+// past its initial state first, so allocs/op counts what a step of a
+// running Fit allocates.
 func BenchmarkGenerationStep(b *testing.B) {
 	ds := benchTrainDataset(b, 5000, 24)
 	cfg := core.Default(24)
@@ -614,6 +617,9 @@ func BenchmarkGenerationStep(b *testing.B) {
 	ex, err := core.NewExecution(context.Background(), cfg, ds)
 	if err != nil {
 		b.Fatal(err)
+	}
+	for i := 0; i < 300; i++ {
+		ex.Step(context.Background())
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -23,11 +23,9 @@
 // All speed machinery — worker counts, sharding, batching, shared
 // caches, sliding windows, rebalancing — is configured through options
 // and guaranteed not to change results: for a fixed seed the fitted
-// system is bit-identical at any worker count, shard count or cache
-// configuration, and at any parallelism unless WithCoverageTarget
-// stops a multi-run early (see WithParallelism). Only the
-// hyperparameter options (generations, population, EMax, topology)
-// affect what is learned.
+// system is bit-identical at any worker count, parallelism, shard
+// count or cache configuration. Only the hyperparameter options
+// (generations, population, EMax, topology) affect what is learned.
 package forecast
 
 import (

@@ -134,10 +134,9 @@ func WithWorkers(n int) Option {
 
 // WithParallelism bounds how many executions (multi-run) or islands
 // evolve concurrently (0, the default, means GOMAXPROCS). Seeds are
-// split deterministically, so results are identical for any
-// parallelism degree — except with WithCoverageTarget: executions run
-// in waves of n and the target is checked after each wave, so a
-// multi-run that stops early may keep more executions at a larger n.
+// split deterministically and executions join the system in seed
+// order, with the coverage target checked after each one, so results
+// are identical for any parallelism degree.
 func WithParallelism(n int) Option {
 	return func(s *settings) error {
 		if n < 0 {

@@ -86,7 +86,7 @@ func (b *IndexBackend) MatchIndices(r *Rule) []int {
 	if out, ok := b.ix.LookupInto(nil, r, sc); ok {
 		return out
 	}
-	return scanMatches(b.ix.data, r, b.workers)
+	return scanMatches(b.ix.data, r, b.workers, sc)
 }
 
 // MatchBatch matches the rules in parallel, each one serially (no

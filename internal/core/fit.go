@@ -127,20 +127,34 @@ func (e *Evaluator) MatchIndices(r *Rule) []int { return e.backend.MatchIndices(
 // with chunk-ordered merging keeping the result deterministic. It is
 // exported for benchmarks and equivalence tests; MatchIndices is the
 // fast path.
-func (e *Evaluator) MatchIndicesScan(r *Rule) []int { return scanMatches(e.data, r, e.workers) }
+func (e *Evaluator) MatchIndicesScan(r *Rule) []int {
+	sc := GetMatchScratch()
+	defer PutMatchScratch(sc)
+	return scanMatches(e.data, r, e.workers, sc)
+}
 
 // scanMatches is the linear scan behind MatchIndicesScan and the
-// IndexBackend's fallback.
-func scanMatches(data *series.Dataset, r *Rule, workers int) []int {
+// IndexBackend's fallback. The serial scan collects into sc's
+// candidate buffer and returns one exact-size slice (nil when nothing
+// matches), the same contract as LookupInto with a nil dst.
+func scanMatches(data *series.Dataset, r *Rule, workers int, sc *MatchScratch) []int {
 	n := data.Len()
 	// Parallelism pays only for large scans; the threshold keeps the
 	// tiny datasets in unit tests on the fast serial path.
 	if n < 4096 || parallel.Workers(workers) == 1 {
-		var out []int
+		hits := sc.cand[:0]
 		for i := 0; i < n; i++ {
 			if r.Match(data.Inputs[i]) {
-				out = append(out, i)
+				hits = append(hits, int32(i))
 			}
+		}
+		sc.cand = hits
+		if len(hits) == 0 {
+			return nil
+		}
+		out := make([]int, len(hits))
+		for k, i := range hits {
+			out[k] = int(i)
 		}
 		return out
 	}

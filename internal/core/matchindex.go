@@ -113,7 +113,8 @@ func (ix *MatchIndex) GeneRange(j int, iv Interval) (lo, hi int, ok bool) {
 
 // MatchScratch is the reusable per-worker scratch of the columnar
 // verification pass: a candidate buffer the prefilter compacts in
-// place and a bitmap used to restore ascending index order. The
+// place (the serial scan collects its hits there too) and a bitmap
+// used to restore ascending index order. The
 // zero value is ready to use; buffers grow on demand and are retained
 // across calls. A MatchScratch must not be used concurrently.
 //

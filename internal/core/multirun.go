@@ -63,8 +63,10 @@ type MultiRunResult struct {
 }
 
 // MultiRun executes the paper's outer loop. Executions are launched
-// in waves of cfg.Parallelism; after each wave the accumulated
-// coverage is checked against the target.
+// in waves of cfg.Parallelism and join the system in seed order; the
+// accumulated coverage is checked against the target after each one,
+// and the rest of the wave is dropped once it is reached, so the
+// result is the same for any parallelism.
 //
 // The context bounds the whole accumulation: it is checked between
 // waves and, inside every execution, between generations. On
@@ -146,18 +148,23 @@ func MultiRun(ctx context.Context, cfg MultiRunConfig, data *series.Dataset) (*M
 			}
 			outs[i] = runOut{rules: ex.ValidRules(), stats: ex.Stats}
 		})
+		// Join the wave one execution at a time in seed order, checking
+		// the target after each: the executions a serial run would not
+		// have started are dropped, so the system never depends on the
+		// wave size. A cancelled wave keeps every execution's
+		// best-so-far rules instead.
 		for _, o := range outs {
 			if o.err != nil {
 				return nil, o.err
 			}
 			res.RuleSet.Add(o.rules...)
 			res.Executions = append(res.Executions, o.stats)
+			res.Coverage = res.RuleSet.Coverage(data)
+			if res.Coverage >= cfg.CoverageTarget && ctx.Err() == nil {
+				return res, nil
+			}
 		}
 		done += n
-		res.Coverage = res.RuleSet.Coverage(data)
-		if res.Coverage >= cfg.CoverageTarget {
-			break
-		}
 	}
 	return res, ctx.Err()
 }

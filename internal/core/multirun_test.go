@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 
 	"errors"
@@ -121,6 +122,41 @@ func TestMultiRunDeterministicAcrossParallelism(t *testing.T) {
 		ra, rb := a.RuleSet.Rules[i], b.RuleSet.Rules[i]
 		if ra.Fitness != rb.Fitness || ra.Prediction != rb.Prediction || ra.Matches != rb.Matches {
 			t.Fatalf("rule %d differs across parallelism", i)
+		}
+	}
+}
+
+// TestMultiRunEarlyStopAcrossParallelism: a coverage target that
+// fires inside a wave keeps exactly the executions a serial run keeps,
+// so the written system is byte-identical at any parallelism.
+func TestMultiRunEarlyStopAcrossParallelism(t *testing.T) {
+	ds := multiRunDataset(t, 300, 3)
+	run := func(par, maxExec int, target float64) (*MultiRunResult, []byte) {
+		cfg := multiRunConfig(3)
+		cfg.CoverageTarget = target
+		cfg.Parallelism = par
+		cfg.MaxExecutions = maxExec
+		res, err := MultiRun(context.Background(), cfg, ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := res.RuleSet.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return res, buf.Bytes()
+	}
+	// The coverage of the first two executions: a serial run reaches
+	// it after the second at the latest, inside the first wave of 3.
+	two, _ := run(1, 2, 2)
+	_, want := run(1, 6, two.Coverage)
+	for _, par := range []int{1, 2, 3} {
+		res, got := run(par, 6, two.Coverage)
+		if n := len(res.Executions); n > 2 {
+			t.Fatalf("parallelism %d kept %d executions past the target", par, n)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("parallelism %d wrote a different system than parallelism 1", par)
 		}
 	}
 }

@@ -13,3 +13,13 @@ package linalg
 //
 //go:noescape
 func accumRow(xtx, xty, row []float64, yi float64, p int)
+
+// accumRow4 is four accumRow calls on rows[0..3] and y[0..3] fused
+// into one pass over the triangle, with the same block contract as
+// the generic version: bit-identical cells, and false with nothing
+// written when any gene of the block is zero. Each cell is loaded and
+// stored once per block instead of once per row, which is what makes
+// the kernel compute-bound rather than bound by loads and stores.
+//
+//go:noescape
+func accumRow4(xtx, xty []float64, rows [][]float64, y []float64, p int) bool

@@ -66,18 +66,33 @@ func FitAffineScratch(xs [][]float64, y []float64, ridge float64, sc *FitScratch
 	}
 	d := len(xs[0])
 	p := d + 1
-	xtx := growZero(&sc.xtx, p*p)
-	xty := growZero(&sc.xty, p)
 	for i, row := range xs {
 		if len(row) != d {
 			return nil, fmt.Errorf("%w: ragged observation %d", ErrShape, i)
 		}
-		yi := y[i]
-		// The gene rows of the rank-1 update run in the vector kernel
-		// (see accum_amd64.s / accum_generic.go).
-		accumRow(xtx, xty, row, yi, p)
-		// The intercept row of the design matrix: its entry is the
-		// constant 1, which the ra==0 skip can never drop.
+	}
+	xtx := growZero(&sc.xtx, p*p)
+	xty := growZero(&sc.xty, p)
+	// The gene rows of the rank-1 updates run in the vector kernels
+	// (see accum_amd64.s / accum_generic.go): four rows per pass over
+	// the triangle, and one at a time for a block with a zero gene and
+	// for the n mod 4 tail. Every cell still receives its additions in
+	// row order.
+	n := len(xs)
+	i := 0
+	for ; i+4 <= n; i += 4 {
+		if !accumRow4(xtx, xty, xs[i:i+4], y[i:i+4], p) {
+			for k := i; k < i+4; k++ {
+				accumRow(xtx, xty, xs[k], y[k], p)
+			}
+		}
+	}
+	for ; i < n; i++ {
+		accumRow(xtx, xty, xs[i], y[i], p)
+	}
+	// The intercept row of the design matrix: its entry is the
+	// constant 1, which the ra==0 skip can never drop.
+	for _, yi := range y {
 		xty[d] += yi
 		xtx[d*p+d]++
 	}
